@@ -56,7 +56,7 @@ from .decoherence import (
     rho_t4_full,
     sweep_suppression,
 )
-from .reports import RunReport, emit_report, parse_config_echo, render_report
+from .reports import RowTable, RunReport, emit_report, parse_config_echo, render_report
 from .sampling import split, stream
 
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ import numpy as np
 
 from .experiment import SpinPrep
 from .observables import PAULI
+from .reports import RowTable
 from .sampling import random_phase_unitary, split, stream
 from .tensor import (
     DensityMatrix,
@@ -306,43 +307,45 @@ def absorbing_variant(prep: SpinPrep, det_up: DetectorModel,
 
 def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
                       env_model: str = "haar", weights_model: str = "uniform",
-                      mode: str = "transmitting") -> tuple[list[dict], dict]:
+                      mode: str = "transmitting") -> tuple[RowTable, dict]:
     """Monte Carlo sweep of coherence-factor suppression over d.
 
     For each (d, trial) a fresh detector pair is drawn from child streams
-    of the root seed.  Rows carry |f|^2 for both detectors and the
-    off-diagonal magnitude of the reduced matrix; the summary holds the
-    per-d sample mean of |f|^2 for comparison with 1/d^2 (the uniform-p,
-    Haar-V moment).
+    of the root seed.  The rows are columns (a ``RowTable``), one entry per
+    trial, filled in place: ``d``, ``trial``, |f|^2 for both detectors and
+    the off-diagonal magnitude of the reduced matrix.  The summary holds
+    the per-d sample mean of |f|^2 for comparison with 1/d^2 (the
+    uniform-p, Haar-V moment).
     """
     d_values = [int(d) for d in d_values]
     if trials < 1:
         raise ValueError("trials must be >= 1")
     streams = split(seed, 2 * len(d_values) * trials)
-    rows = []
-    k = 0
-    for d in d_values:
-        for trial in range(trials):
-            det_up = DetectorModel.sample(d, streams[k], env_model, weights_model,
-                                          mode=mode, label="D_up")
-            det_dn = DetectorModel.sample(d, streams[k + 1], env_model, weights_model,
-                                          mode=mode, label="D_dn")
-            k += 2
-            f_up = coherence_factor(det_up).value
-            f_dn = coherence_factor(det_dn).value
-            offdiag = abs(prep.alpha * np.conj(prep.beta) * f_up * np.conj(f_dn))
-            rows.append({
-                "d": d,
-                "trial": trial,
-                "f_abs2_up": float(abs(f_up) ** 2),
-                "f_abs2_dn": float(abs(f_dn) ** 2),
-                "offdiag_abs": float(offdiag),
-            })
+    d_col = np.repeat(np.array(d_values, dtype=np.int64), trials)
+    f_abs2_up = np.empty(d_col.size)
+    f_abs2_dn = np.empty(d_col.size)
+    offdiag_abs = np.empty(d_col.size)
+    for k, d in enumerate(d_col.tolist()):
+        det_up = DetectorModel.sample(d, streams[2 * k], env_model, weights_model,
+                                      mode=mode, label="D_up")
+        det_dn = DetectorModel.sample(d, streams[2 * k + 1], env_model, weights_model,
+                                      mode=mode, label="D_dn")
+        f_up = coherence_factor(det_up).value
+        f_dn = coherence_factor(det_dn).value
+        f_abs2_up[k] = abs(f_up) ** 2
+        f_abs2_dn[k] = abs(f_dn) ** 2
+        offdiag_abs[k] = abs(prep.alpha * np.conj(prep.beta) * f_up * np.conj(f_dn))
+    rows = RowTable({
+        "d": d_col,
+        "trial": np.tile(np.arange(trials), len(d_values)),
+        "f_abs2_up": f_abs2_up,
+        "f_abs2_dn": f_abs2_dn,
+        "offdiag_abs": offdiag_abs,
+    })
     summary = {}
     for d in d_values:
-        vals = [r["f_abs2_up"] for r in rows if r["d"] == d]
         summary[str(d)] = {
-            "mean_f_abs2": float(np.mean(vals)),
+            "mean_f_abs2": float(f_abs2_up[d_col == d].mean()),
             "expected_uniform_haar": 1.0 / d**2,
         }
     return rows, summary

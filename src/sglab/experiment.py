@@ -26,7 +26,7 @@ from .observables import (
     joint_circuit_izz,
     joint_circuit_xxx,
 )
-from .reports import RunReport
+from .reports import RowTable, RunReport
 from .sampling import stream
 from .tensor import (
     EnsembleState,
@@ -46,6 +46,13 @@ PROJECT_ONE = np.array([[0, 0], [0, 1]], dtype=complex)
 PROJECT_ZERO = np.array([[1, 0], [0, 0]], dtype=complex)
 
 JOINT_OBSERVABLES = ("IZZ", "ZZI", "ZIZ", "XXX")
+
+# Outcome words of the three slots, indexed by amplitude index (big-endian).
+_WORDS = tuple(format(w, "03b") for w in range(8))
+_WORD_LABELS = np.array(_WORDS)
+# Readout eigenvalue of each slot per word (+1 for 1, -1 for 0) and their product.
+_SLOT_EIGENVALUES = 2 * ((np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1) - 1
+_WORD_PRODUCTS = _SLOT_EIGENVALUES.prod(axis=1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -139,10 +146,6 @@ def condition_on_spin_x(prep: SpinPrep, outcome: int, phase: float = 0.0) -> Pur
     return conditional
 
 
-def _word_bits(index: int, n_slots: int = 3) -> tuple[int, ...]:
-    return tuple((index >> (n_slots - 1 - k)) & 1 for k in range(n_slots))
-
-
 def _sample_words(prob_sets, weights, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Word indices for each shot, mixing members by weight."""
     if len(prob_sets) == 1:
@@ -166,6 +169,11 @@ def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
     measurements commute and act in a product basis, so a shot's outcome
     word is drawn exactly from the joint Born distribution; sampling the
     word directly is the same experiment without the per-shot rebuild.
+
+    The rows are columns (a ``RowTable``) gathered from per-word tables:
+    ``shot``, the ``word`` label and the eigenvalue ``product`` of each
+    shot.  The summary comes from the word counts alone
+    (``np.bincount``), so no per-shot Python objects are made.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -188,28 +196,21 @@ def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
     rng = stream(seed)
     words = _sample_words(prob_sets, weights, shots, rng)
 
-    rows = []
-    eigen = np.empty((shots, 3), dtype=np.int64)
-    for i, w in enumerate(words):
-        bits = _word_bits(int(w))
-        eigen[i] = [2 * b - 1 for b in bits]
-        rows.append({
-            "shot": i,
-            "word": "".join(str(b) for b in bits),
-            "product": int(eigen[i].prod()),
-        })
-    counts = {}
-    for w in sorted(set(int(x) for x in words)):
-        counts["".join(str(b) for b in _word_bits(w))] = int(np.sum(words == w))
-    products = eigen.prod(axis=1)
+    counts = np.bincount(words, minlength=len(_WORDS))
+    means = (counts @ _SLOT_EIGENVALUES) / shots
     summary = {
-        "word_counts": counts,
-        "mean_s": float(eigen[:, 0].mean()),
-        "mean_a_up": float(eigen[:, 1].mean()),
-        "mean_a_dn": float(eigen[:, 2].mean()),
-        "product_mean": float(products.mean()),
-        "product_always_plus_one": bool(np.all(products == 1)),
+        "word_counts": {_WORDS[w]: n for w, n in enumerate(counts.tolist()) if n},
+        "mean_s": float(means[0]),
+        "mean_a_up": float(means[1]),
+        "mean_a_dn": float(means[2]),
+        "product_mean": float((counts @ _WORD_PRODUCTS) / shots),
+        "product_always_plus_one": bool(np.all(_WORD_PRODUCTS[counts > 0] == 1)),
     }
+    rows = RowTable({
+        "shot": np.arange(shots),
+        "word": _WORD_LABELS[words],
+        "product": _WORD_PRODUCTS[words],
+    })
     config = {
         "pipeline": "local",
         "alpha_re": prep.alpha.real, "alpha_im": prep.alpha.imag,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -186,3 +188,26 @@ class TestCliEndToEnd:
         missing = tmp_path / "no" / "such" / "dir" / "out.jsonl"
         assert run_cli(["ordinary", "--seed", "1", "--out", str(missing)]) == 4
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--alpha-re", "nan", "--d", "2", "--trials", "2"],
+        ["sweep", "--beta-im", "nan", "--d", "2", "--trials", "2"],
+        ["ordinary", "--alpha-im", "nan"],
+    ])
+    def test_non_finite_input_exits_2_without_report(self, argv, tmp_path, capsys):
+        out = tmp_path / "run.jsonl"
+        assert run_cli(argv + ["--seed", "1", "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("pipeline", ["condition", "blindness", "absorbing"])
+    def test_csv_with_nested_cells_parses(self, pipeline, tmp_path):
+        out = tmp_path / f"{pipeline}.csv"
+        assert run_cli([pipeline, "--d", "2", "--seed", "3", "--format", "csv",
+                        "--out", str(out)]) == 0
+        body = [l for l in out.read_text().splitlines(keepends=True) if not l.startswith("#")]
+        header, *rows = csv.reader(io.StringIO("".join(body)))
+        assert rows and all(len(row) == len(header) for row in rows)
+        nested = "amplitudes" if pipeline == "condition" else "f_up"
+        for row in rows:
+            json.loads(row[header.index(nested)])

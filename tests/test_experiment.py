@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sglab import (
     PureState,
@@ -18,6 +21,14 @@ from sglab import (
 from sglab.experiment import ANCILLA_REGISTER, PATH_REGISTER
 
 GENERIC = SpinPrep(0.6, 0.8j)
+
+
+@st.composite
+def preps(draw):
+    """Normalized spin preps with any split and any phases."""
+    theta = draw(st.floats(0.0, np.pi / 2))
+    phase_a, phase_b = draw(st.floats(0.0, 2 * np.pi)), draw(st.floats(0.0, 2 * np.pi))
+    return SpinPrep(np.cos(theta) * np.exp(1j * phase_a), np.sin(theta) * np.exp(1j * phase_b))
 
 
 class TestPrepAndStages:
@@ -157,6 +168,23 @@ class TestLocalMode:
         a = run_local_mode(GENERIC, "Z", 500, seed=6)
         b = run_local_mode(GENERIC, "Z", 500, seed=6)
         assert a.rows == b.rows and a.summary == b.summary
+
+    @settings(max_examples=60, deadline=None)
+    @given(prep=preps(), basis=st.sampled_from(["Z", "X"]), mixture=st.booleans(),
+           shots=st.integers(1, 300), seed=st.integers(0, 2**63 - 1))
+    def test_rows_and_summary_agree(self, prep, basis, mixture, shots, seed):
+        report = run_local_mode(prep, basis, shots, seed, mixture=mixture)
+        rows = list(report.rows)
+        assert len(report.rows) == shots
+        assert [r["shot"] for r in rows] == list(range(shots))
+        assert all(r["product"] == (-1) ** r["word"].count("0") for r in rows)
+        counts = report.summary["word_counts"]
+        assert sum(counts.values()) == shots
+        assert list(counts.items()) == sorted(Counter(r["word"] for r in rows).items())
+        for k, key in enumerate(("mean_s", "mean_a_up", "mean_a_dn")):
+            assert report.summary[key] == sum(2 * int(r["word"][k]) - 1 for r in rows) / shots
+        assert report.summary["product_mean"] == sum(r["product"] for r in rows) / shots
+        assert report.summary["product_always_plus_one"] == all(r["product"] == 1 for r in rows)
 
     def test_arg_validation(self):
         with pytest.raises(ValueError):
