@@ -321,7 +321,7 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     streams = split(seed, 2 * len(d_values) * trials)
-    d_col = np.repeat(np.array(d_values, dtype=np.int64), trials)
+    d_col = np.repeat(d_values, trials)
     f_abs2_up = np.empty(d_col.size)
     f_abs2_dn = np.empty(d_col.size)
     offdiag_abs = np.empty(d_col.size)

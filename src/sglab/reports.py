@@ -212,10 +212,10 @@ def emit_report(report: RunReport, path, fmt: str) -> None:
 
     A new path or a regular file is written to a temporary sibling that
     replaces ``path`` only when complete, so a failure leaves neither a
-    partial report nor the temporary file.  Anything else that exists at
-    ``path`` is written in place: a device or pipe cannot be replaced, and
-    replacing a symlink (``/dev/stdout`` is one) would cut it from its
-    target.
+    partial report nor the temporary file; a replaced file keeps its
+    permission bits.  Anything else that exists at ``path`` is written in
+    place: a device or pipe cannot be replaced, and replacing a symlink
+    (``/dev/stdout`` is one) would cut it from its target.
     """
     path = os.fspath(path)
     if len(report.rows) <= CHUNK_ROWS:
@@ -223,10 +223,10 @@ def emit_report(report: RunReport, path, fmt: str) -> None:
     else:
         chunks = _chunks(report, fmt)
     try:
-        replaceable = stat.S_ISREG(os.lstat(path).st_mode)
+        mode = os.lstat(path).st_mode
     except FileNotFoundError:
-        replaceable = True
-    if not replaceable:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
         return
@@ -234,6 +234,8 @@ def emit_report(report: RunReport, path, fmt: str) -> None:
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)
     except BaseException:
         try:

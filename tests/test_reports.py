@@ -131,6 +131,15 @@ class TestEmit:
             emit_report(_nan_report(), tmp_path / "r.csv", "csv")
         assert os.listdir(tmp_path) == []
 
+    def test_replaced_file_keeps_its_permissions(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        report = run_local_mode(GENERIC, "Z", 5, seed=1)
+        emit_report(report, path, "json-lines")
+        assert path.read_text() == render_report(report, "json-lines")
+        assert path.stat().st_mode & 0o777 == 0o640
+
     def test_symlink_is_written_through(self, tmp_path):
         target = tmp_path / "target.jsonl"
         target.write_text("old\n")
