@@ -142,20 +142,17 @@ def _columns(rows) -> tuple[dict, int]:
 def _cell_source(col, cell):
     """Callable (lo, hi) -> iterable of the cell texts of rows lo..hi-1.
 
-    Integer arrays print through ``str``.  Other numpy arrays of floats,
-    booleans or strings format each distinct value once and gather the
-    texts; floats are told apart by bit pattern, so 0.0 and -0.0 keep
-    their own texts.  Everything else goes through ``cell`` one by one.
+    Integer arrays print through ``str``.  String arrays (word labels,
+    with few distinct values) format each distinct value once and gather
+    the texts.  Everything else goes through ``cell`` one by one.
     """
-    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
-        return lambda lo, hi: map(str, col[lo:hi].tolist())
-    if isinstance(col, np.ndarray) and col.dtype.kind in "fbU":
-        keys = np.ascontiguousarray(col)
-        if col.dtype.kind == "f":
-            keys = keys.view(f"i{col.dtype.itemsize}")
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        texts = np.array([cell(v) for v in distinct.view(col.dtype).tolist()], dtype=object)
+    if isinstance(col, np.ndarray) and col.dtype.kind == "U":
+        distinct, inverse = np.unique(col, return_inverse=True)
+        texts = np.array([cell(v) for v in distinct.tolist()], dtype=object)
         return lambda lo, hi: texts[inverse[lo:hi]].tolist()
+    if isinstance(col, np.ndarray):
+        to_text = str if col.dtype.kind in "iu" else cell
+        return lambda lo, hi: map(to_text, col[lo:hi].tolist())
     return lambda lo, hi: map(cell, col[lo:hi])
 
 
@@ -203,46 +200,79 @@ def render_report(report: RunReport, fmt: str) -> str:
     return "".join(_chunks(report, fmt))
 
 
-def emit_report(report: RunReport, path, fmt: str) -> None:
-    """Write the report to ``path``.
+def _replace_target(path: str):
+    """The regular file that a report for ``path`` replaces, or None to write in place.
 
-    A report of at most ``CHUNK_ROWS`` rows is rendered whole and written
-    at once; a longer one is written chunk by chunk as it is rendered, so
-    its full text is never held in memory.
-
-    A new path or a regular file is written to a temporary sibling that
-    replaces ``path`` only when complete, so a failure leaves neither a
-    partial report nor the temporary file; a replaced file keeps its
-    permission bits.  Anything else that exists at ``path`` is written in
-    place: a device or pipe cannot be replaced, and replacing a symlink
-    (``/dev/stdout`` is one) would cut it from its target.
+    Symlinks are followed, so a link keeps naming the new report.  A link
+    into ``/proc`` (``/dev/stdout``, ``/dev/fd/N``) stands for an open file
+    descriptor, a device or pipe cannot be replaced, and a file that cannot
+    be written must not be: all of these are written in place.
     """
-    path = os.fspath(path)
-    if len(report.rows) <= CHUNK_ROWS:
-        chunks = [render_report(report, fmt)]
-    else:
-        chunks = _chunks(report, fmt)
+    hop = path
+    for _ in range(40):
+        if not os.path.islink(hop):
+            break
+        if os.path.realpath(os.path.dirname(os.path.abspath(hop))).startswith("/proc/"):
+            return None
+        hop = os.path.join(os.path.dirname(hop), os.readlink(hop))
     try:
-        mode = os.lstat(path).st_mode
+        mode = os.stat(path).st_mode
     except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-        return
-    tmp = f"{path}.tmp-{os.getpid()}"
+        return os.path.realpath(path)
+    if stat.S_ISREG(mode) and os.access(path, os.W_OK):
+        return os.path.realpath(path)
+    return None
+
+
+def _write_replacing(report: RunReport, target: str, fmt: str) -> None:
+    tmp = f"{target}.tmp-{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-        if mode is not None:
-            os.chmod(tmp, stat.S_IMODE(mode))
-        os.replace(tmp, path)
+            # Small reports go through render_report so the benchmark's
+            # render spans keep counting them (ROADMAP item 6).
+            if len(report.rows) <= CHUNK_ROWS:
+                fh.write(render_report(report, fmt))
+            else:
+                fh.writelines(_chunks(report, fmt))
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        except FileNotFoundError:
+            pass
+        os.replace(tmp, target)
     except BaseException:
         try:
             os.remove(tmp)
         except FileNotFoundError:
             pass
         raise
+
+
+def emit_report(report: RunReport, path, fmt: str) -> None:
+    """Write the report to ``path``.
+
+    A new path or a writable regular file (after following symlinks) is
+    written to a temporary sibling that replaces it only when complete, so
+    a failure leaves neither a partial report nor the temporary file.  A
+    report longer than ``CHUNK_ROWS`` rows is written chunk by chunk as it
+    is rendered, so its full text is never held in memory.  A replaced file
+    keeps its permission bits, not its owner, group or hard links.
+
+    Anything else (see ``_replace_target``), and a file whose directory
+    forbids the temporary file or the replace, is written in place.  Its
+    text is rendered whole before the file is opened, so a refused report
+    leaves the file untouched.
+    """
+    path = os.fspath(path)
+    target = _replace_target(path)
+    if target is not None:
+        try:
+            _write_replacing(report, target, fmt)
+            return
+        except PermissionError:
+            pass
+    text = render_report(report, fmt)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def parse_config_echo(text: str) -> dict:

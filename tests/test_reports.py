@@ -10,6 +10,7 @@ import pytest
 
 from sglab import RunReport, emit_report, render_report, run_local_mode, sweep_suppression
 from sglab.experiment import SpinPrep
+from sglab import reports
 from sglab.reports import CHUNK_ROWS, RowTable, format_value
 
 GENERIC = SpinPrep(complex(0.28, 0.6), complex(0.5, math.sqrt(1 - 0.28**2 - 0.36 - 0.25)))
@@ -140,15 +141,70 @@ class TestEmit:
         assert path.read_text() == render_report(report, "json-lines")
         assert path.stat().st_mode & 0o777 == 0o640
 
-    def test_symlink_is_written_through(self, tmp_path):
+    def test_symlink_target_is_replaced(self, tmp_path):
+        target = tmp_path / "target.jsonl"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        inode = target.stat().st_ino
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target.name)
+        report = run_local_mode(GENERIC, "Z", 5, seed=1)
+        emit_report(report, link, "json-lines")
+        assert link.is_symlink() and target.stat().st_ino != inode
+        assert target.read_text() == render_report(report, "json-lines")
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "target.jsonl"]
+
+    def test_failure_through_symlink_keeps_target(self, tmp_path):
         target = tmp_path / "target.jsonl"
         target.write_text("old\n")
         link = tmp_path / "link.jsonl"
         link.symlink_to(target)
+        with pytest.raises(ValueError):
+            emit_report(_nan_report(), link, "json-lines")
+        assert target.read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "target.jsonl"]
+
+    def test_descriptor_link_is_written_in_place(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        report = run_local_mode(GENERIC, "X", CHUNK_ROWS + 3, seed=2)
+        with open(path, "r+") as fh:
+            fd_path = f"/proc/self/fd/{fh.fileno()}"
+            with pytest.raises(ValueError):
+                emit_report(_nan_report(), fd_path, "csv")
+            assert path.read_text() == "old\n"
+            emit_report(report, fd_path, "csv")
+            assert os.fstat(fh.fileno()).st_ino == path.stat().st_ino
+        assert path.read_text() == render_report(report, "csv")
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_unwritable_file_is_not_replaced(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.jsonl"
+        path.write_text("old\n")
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        opened = []
+        monkeypatch.setattr(reports, "open", lambda name, *args, **kwargs: opened.append(name)
+                            or open(name, *args, **kwargs), raising=False)
         report = run_local_mode(GENERIC, "Z", 5, seed=1)
-        emit_report(report, link, "json-lines")
-        assert link.is_symlink()
-        assert target.read_text() == render_report(report, "json-lines")
+        emit_report(report, path, "json-lines")
+        assert opened == [os.fspath(path)]
+        assert path.read_text() == render_report(report, "json-lines")
+
+    def test_forbidden_replace_falls_back_to_in_place(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.jsonl"
+        path.write_text("old\n")
+        inode = path.stat().st_ino
+
+        def refuse(src, dst):
+            raise PermissionError(dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        report = run_local_mode(GENERIC, "X", CHUNK_ROWS + 3, seed=4)
+        emit_report(report, path, "json-lines")
+        assert path.stat().st_ino == inode
+        assert path.read_text() == render_report(report, "json-lines")
+        assert os.listdir(tmp_path) == ["r.jsonl"]
 
     def test_fifo_is_written_in_place(self, tmp_path):
         fifo = tmp_path / "pipe"
