@@ -216,12 +216,10 @@ def _replace_target(path: str):
             return None
         hop = os.path.join(os.path.dirname(hop), os.readlink(hop))
     try:
-        mode = os.stat(path).st_mode
+        mode = os.stat(hop).st_mode
     except FileNotFoundError:
-        return os.path.realpath(path)
-    if stat.S_ISREG(mode) and os.access(path, os.W_OK):
-        return os.path.realpath(path)
-    return None
+        return hop
+    return hop if stat.S_ISREG(mode) and os.access(hop, os.W_OK) else None
 
 
 def _write_replacing(report: RunReport, target: str, fmt: str) -> None:

@@ -146,14 +146,16 @@ class TestEmit:
         target.write_text("old\n")
         target.chmod(0o640)
         inode = target.stat().st_ino
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "mid").symlink_to("../target.jsonl")
         link = tmp_path / "link.jsonl"
-        link.symlink_to(target.name)
+        link.symlink_to("sub/mid")
         report = run_local_mode(GENERIC, "Z", 5, seed=1)
         emit_report(report, link, "json-lines")
         assert link.is_symlink() and target.stat().st_ino != inode
         assert target.read_text() == render_report(report, "json-lines")
         assert target.stat().st_mode & 0o777 == 0o640
-        assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "target.jsonl"]
+        assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "sub", "target.jsonl"]
 
     def test_failure_through_symlink_keeps_target(self, tmp_path):
         target = tmp_path / "target.jsonl"
