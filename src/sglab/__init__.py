@@ -30,6 +30,7 @@ from .observables import (
     joint_circuit_xxx,
     measure_joint_spectral,
     measure_projective,
+    pauli_expectation,
     pauli_matrix,
 )
 from .experiment import (

@@ -9,33 +9,43 @@ entropy and records it in the report, so every emitted file is exactly
 reproducible from its own config echo.
 
 Exit codes: 0 success, 2 malformed config, 3 dimension cap exceeded,
-4 I/O failure.  SGLAB_OUT_DIR sets the default output directory.
+4 I/O failure.  SGLAB_OUT_DIR sets the default output directory.  A
+successful run prints the report path, unless the report itself went to
+stdout (``--out /dev/stdout``).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import secrets
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import decoherence, experiment
+from .observables import PauliString, pauli_expectation
 from .reports import RunReport, emit_report
 from .sampling import split
 from .tensor import DimensionCapError, qubits, PureState
-from .observables import PAULI
 
-PIPELINES = ("local", "joint", "condition", "ordinary", "blindness", "absorbing", "sweep")
 FORMATS = ("json-lines", "csv")
+AMPLITUDES = ("alpha_re", "alpha_im", "beta_re", "beta_im")
+# Pipelines that draw a single detector pair, so take exactly one d.
+SINGLE_D = ("blindness", "absorbing")
 
 OUT_DIR_ENV = "SGLAB_OUT_DIR"
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -63,32 +73,43 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.pipeline not in PIPELINES:
             raise ConfigError(f"unknown pipeline {self.pipeline!r}")
-        if abs(self.alpha_re**2 + self.alpha_im**2
-               + self.beta_re**2 + self.beta_im**2 - 1.0) > 1e-12:
-            raise ConfigError("prep amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
+        for name in AMPLITUDES:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or abs(value) > 1:
+                raise ConfigError(f"prep amplitude {name} must be a number in [-1, 1]")
+            setattr(self, name, float(value))
+        norm2 = sum(getattr(self, name) ** 2 for name in AMPLITUDES)
+        if not abs(norm2 - 1.0) <= 1e-12:
+            got = repr(norm2) if math.isfinite(norm2) else "a non-finite value"
+            raise ConfigError(f"prep amplitudes must satisfy |alpha|^2 + |beta|^2 = 1, got {got}")
         if self.basis not in ("Z", "X"):
             raise ConfigError("basis must be Z or X")
         unknown = set(self.observables) - set(experiment.JOINT_OBSERVABLES)
         if unknown:
             raise ConfigError(f"unknown joint observables {sorted(unknown)}")
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
-        if not self.d or any(int(x) < 1 for x in self.d):
-            raise ConfigError("every d must be >= 1")
+        if not _is_int(self.shots) or self.shots < 1:
+            raise ConfigError("shots must be an integer >= 1")
+        if not isinstance(self.d, (list, tuple)) or not self.d \
+                or not all(_is_int(x) and x >= 1 for x in self.d):
+            raise ConfigError("d must be a non-empty list of integers >= 1")
+        if len(set(self.d)) != len(self.d):
+            raise ConfigError(f"d values must be distinct, got {self.d}")
+        if self.pipeline in SINGLE_D and len(self.d) != 1:
+            raise ConfigError(f"{self.pipeline} takes exactly one d, got {self.d}")
         if self.env_model not in decoherence.ENV_MODELS:
             raise ConfigError(f"env-model must be one of {decoherence.ENV_MODELS}")
         if self.weights not in decoherence.WEIGHT_MODELS:
             raise ConfigError(f"weights must be one of {decoherence.WEIGHT_MODELS}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if not isinstance(self.mixture, bool):
+            raise ConfigError("mixture must be true or false")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ConfigError("trials must be an integer >= 1")
+        if self.seed is not None and not _is_int(self.seed):
+            raise ConfigError("seed must be an integer")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError("out must be a path string")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}")
-        self.observables = [str(o) for o in self.observables]
-        self.d = [int(x) for x in self.d]
-        self.shots = int(self.shots)
-        self.trials = int(self.trials)
-        if self.seed is not None:
-            self.seed = int(self.seed)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -101,16 +122,7 @@ class ExperimentConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        return {
-            "pipeline": self.pipeline,
-            "alpha_re": float(self.alpha_re), "alpha_im": float(self.alpha_im),
-            "beta_re": float(self.beta_re), "beta_im": float(self.beta_im),
-            "basis": self.basis, "observables": list(self.observables),
-            "shots": int(self.shots), "d": list(self.d),
-            "env_model": self.env_model, "weights": self.weights,
-            "mixture": bool(self.mixture), "trials": int(self.trials),
-            "seed": self.seed, "out": self.out, "format": self.format,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def prep(self) -> experiment.SpinPrep:
         return experiment.SpinPrep(complex(self.alpha_re, self.alpha_im),
@@ -124,99 +136,67 @@ def _bell_target(sign: int) -> PureState:
     return PureState(qubits("a_up", "a_dn"), amps)
 
 
-def _run_condition(config: ExperimentConfig, seed: int) -> RunReport:
+def _run_condition(config: ExperimentConfig) -> RunReport:
+    zz = PauliString({"a_up": "Z", "a_dn": "Z"})
     rows = []
     for outcome in (+1, -1):
         conditional = experiment.condition_on_spin_x(config.prep(), outcome)
-        target = _bell_target(outcome)
-        zz = np.real(np.vdot(conditional.amplitudes,
-                             np.kron(PAULI["Z"], PAULI["Z"]) @ conditional.amplitudes))
         rows.append({
             "spin_x_outcome": outcome,
             "amplitudes": [complex(a) for a in conditional.amplitudes],
-            "bell_fidelity": float(conditional.fidelity(target)),
-            "zz_anticorrelation": float(zz),
+            "bell_fidelity": float(conditional.fidelity(_bell_target(outcome))),
+            "zz_anticorrelation": pauli_expectation(conditional, zz),
         })
-    summary = {"bell_fidelities": [r["bell_fidelity"] for r in rows]}
-    return RunReport("condition", {}, seed, rows, summary)
+    return RunReport(rows, {"bell_fidelities": [r["bell_fidelity"] for r in rows]})
 
 
-def _run_ordinary(config: ExperimentConfig, seed: int) -> RunReport:
+def _run_ordinary(config: ExperimentConfig) -> RunReport:
     stage = experiment.ordinary_premeasurement(config.prep())
-    state = stage.state
-
-    def word_exp(word):
-        from .observables import PauliString, apply_pauli
-        obs = PauliString.from_word(word, state.register)
-        return float(np.real(np.vdot(state.amplitudes, apply_pauli(state, obs).amplitudes)))
-
-    rows = [{
-        "stage": stage.stage,
-        "z_pup_z_pdn": word_exp("IZZ"),
-        "z_s_z_pup": word_exp("ZZI"),
-        "z_s_z_pdn": word_exp("ZIZ"),
-    }]
-    return RunReport("ordinary", {}, seed, rows, dict(rows[0]))
+    row = {"stage": stage.stage}
+    for key, word in (("z_pup_z_pdn", "IZZ"), ("z_s_z_pup", "ZZI"), ("z_s_z_pdn", "ZIZ")):
+        row[key] = pauli_expectation(stage.state, PauliString.from_word(word, stage.state.register))
+    return RunReport([row], dict(row))
 
 
-def _sample_detectors(config: ExperimentConfig, seed: int, mode: str):
-    d = config.d[0]
+def _run_detectors(config: ExperimentConfig, seed: int, mode: str) -> RunReport:
+    """Demon vs readout-only contrast for one detector pair of dimension ``d[0]``."""
     up_rng, dn_rng = split(seed, 2)
     det_up = decoherence.DetectorModel.sample(
-        d, up_rng, config.env_model, config.weights, mode=mode, label="D_up")
+        config.d[0], up_rng, config.env_model, config.weights, mode=mode, label="D_up")
     det_dn = decoherence.DetectorModel.sample(
-        d, dn_rng, config.env_model, config.weights, mode=mode, label="D_dn")
-    return det_up, det_dn
-
-
-def _run_blindness(config: ExperimentConfig, seed: int, mode: str) -> RunReport:
-    det_up, det_dn = _sample_detectors(config, seed, mode)
+        config.d[0], dn_rng, config.env_model, config.weights, mode=mode, label="D_dn")
     if mode == "absorbing":
         row = decoherence.absorbing_variant(config.prep(), det_up, det_dn)
     else:
         row = decoherence.blindness_contrast(config.prep(), det_up, det_dn, seed=seed)
-    summary = {
-        "demon_analytic": row["demon_analytic"],
-        "readout_only_analytic": row["readout_only_analytic"],
-    }
-    pipeline = "absorbing" if mode == "absorbing" else "blindness"
-    return RunReport(pipeline, {}, seed, [row], summary)
+    summary = {key: row[key] for key in ("demon_analytic", "readout_only_analytic")}
+    return RunReport([row], summary)
 
 
-def _run_sweep(config: ExperimentConfig, seed: int) -> RunReport:
-    rows, summary = decoherence.sweep_suppression(
-        config.prep(), config.d, config.trials, seed,
-        env_model=config.env_model, weights_model=config.weights)
-    return RunReport("sweep", {}, seed, rows, summary)
+# Every entry looks its callee up when it is called, so a wrapper later
+# installed on a module attribute (a tracer, a test double) sees the call.
+PIPELINES: dict[str, Callable[[ExperimentConfig, int], RunReport]] = {
+    "local": lambda c, seed: experiment.run_local_mode(
+        c.prep(), c.basis, c.shots, seed, mixture=c.mixture),
+    "joint": lambda c, seed: experiment.run_joint_mode(c.prep(), c.observables, seed),
+    "condition": lambda c, seed: _run_condition(c),
+    "ordinary": lambda c, seed: _run_ordinary(c),
+    "blindness": lambda c, seed: _run_detectors(c, seed, "transmitting"),
+    "absorbing": lambda c, seed: _run_detectors(c, seed, "absorbing"),
+    "sweep": lambda c, seed: RunReport(*decoherence.sweep_suppression(
+        c.prep(), c.d, c.trials, seed, env_model=c.env_model, weights_model=c.weights)),
+}
 
 
 def run(config: ExperimentConfig) -> str:
     """Execute one pipeline and write its report; returns the output path."""
-    seed = config.seed if config.seed is not None else secrets.randbits(63)
-    config.seed = int(seed)
-    pipeline = config.pipeline
-    if pipeline == "local":
-        report = experiment.run_local_mode(config.prep(), config.basis,
-                                           config.shots, seed, mixture=config.mixture)
-    elif pipeline == "joint":
-        report = experiment.run_joint_mode(config.prep(), config.observables, seed)
-    elif pipeline == "condition":
-        report = _run_condition(config, seed)
-    elif pipeline == "ordinary":
-        report = _run_ordinary(config, seed)
-    elif pipeline == "blindness":
-        report = _run_blindness(config, seed, "transmitting")
-    elif pipeline == "absorbing":
-        report = _run_blindness(config, seed, "absorbing")
-    elif pipeline == "sweep":
-        report = _run_sweep(config, seed)
-    else:  # pragma: no cover - validate() already rejected it
-        raise ConfigError(f"unknown pipeline {pipeline!r}")
-
+    if config.seed is None:
+        config.seed = secrets.randbits(63)
+    report = PIPELINES[config.pipeline](config, config.seed)
     if config.out is None:
         ext = "jsonl" if config.format == "json-lines" else "csv"
         out_dir = os.environ.get(OUT_DIR_ENV, ".")
-        config.out = os.path.join(out_dir, f"{pipeline}.{ext}")
+        config.out = os.path.join(out_dir, f"{config.pipeline}.{ext}")
     report.config = config.to_dict()
     emit_report(report, config.out, config.format)
     return config.out
@@ -263,11 +243,8 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         data.update(loaded)
     data["pipeline"] = args.pipeline
     overrides = {
-        name: getattr(args, name)
-        for name in ("alpha_re", "alpha_im", "beta_re", "beta_im", "basis",
-                     "shots", "env_model", "weights", "mixture", "trials",
-                     "seed", "out", "format")
-        if getattr(args, name) is not None
+        f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+        if f.name not in ("pipeline", "observables", "d") and getattr(args, f.name) is not None
     }
     if args.observables is not None:
         overrides["observables"] = [w.strip() for w in args.observables.split(",") if w.strip()]
@@ -298,7 +275,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"sglab: i/o error: {exc}", file=sys.stderr)
         return 4
-    print(path)
+    try:  # fd 1, not sys.stdout, which may be replaced in-process
+        report_on_stdout = os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        report_on_stdout = False
+    if not report_on_stdout:
+        print(path)
     return 0
 
 

@@ -37,7 +37,6 @@ from .tensor import (
     DimensionCapError,
     Register,
     haar_unitary,
-    partial_trace,
 )
 
 # The brute-force full-density-matrix path is the validator, not the
@@ -71,12 +70,12 @@ class DetectorModel:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.shape[0] != self.d or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        if w.shape[0] != self.d or np.any(w < 0) or not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must be a length-d probability vector")
         v = np.asarray(self.V, dtype=complex)
         if v.shape != (self.d, self.d):
             raise ValueError("V must be d x d")
-        if np.max(np.abs(v.conj().T @ v - np.eye(self.d))) > UNITARITY_TOL:
+        if not np.max(np.abs(v.conj().T @ v - np.eye(self.d))) <= UNITARITY_TOL:
             raise ValueError("V is not unitary within 1e-12")
         w = w.copy(); w.flags.writeable = False
         v = v.copy(); v.flags.writeable = False
@@ -118,7 +117,7 @@ class CoherenceFactor:
     value: complex
 
     def __post_init__(self):
-        if abs(self.value) > 1.0 + 1e-12:
+        if not abs(self.value) <= 1.0 + 1e-12:
             raise ValueError("coherence factor magnitude exceeds 1")
 
 

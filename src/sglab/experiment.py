@@ -22,9 +22,9 @@ from .observables import (
     CNOT,
     HADAMARD,
     PauliString,
-    apply_pauli,
     joint_circuit_izz,
     joint_circuit_xxx,
+    pauli_expectation,
 )
 from .reports import RowTable, RunReport
 from .sampling import stream
@@ -65,7 +65,7 @@ class SpinPrep:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > 1e-12:
+        if not abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) <= 1e-12:
             raise ValueError("spin prep must satisfy |alpha|^2 + |beta|^2 = 1")
 
     @classmethod
@@ -211,15 +211,7 @@ def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
         "word": _WORD_LABELS[words],
         "product": _WORD_PRODUCTS[words],
     })
-    config = {
-        "pipeline": "local",
-        "alpha_re": prep.alpha.real, "alpha_im": prep.alpha.imag,
-        "beta_re": prep.beta.real, "beta_im": prep.beta.imag,
-        "basis": basis, "shots": int(shots), "mixture": bool(mixture),
-        "seed": int(seed),
-    }
-    return RunReport(pipeline="local", config=config, seed=int(seed),
-                     rows=rows, summary=summary)
+    return RunReport(rows, summary)
 
 
 def _extend(state: PureState, labels: str) -> PureState:
@@ -289,19 +281,10 @@ def run_joint_mode(prep: SpinPrep, observables, seed: int, phase: float = 0.0) -
         "readouts": [r["readout"] for r in rows],
         "final_fidelity": float(fidelity),
     }
-    config = {
-        "pipeline": "joint",
-        "alpha_re": prep.alpha.real, "alpha_im": prep.alpha.imag,
-        "beta_re": prep.beta.real, "beta_im": prep.beta.imag,
-        "observables": list(observables), "seed": int(seed),
-    }
-    return RunReport(pipeline="joint", config=config, seed=int(seed),
-                     rows=rows, summary=summary)
+    return RunReport(rows, summary)
 
 
 def expectation_t4(prep: SpinPrep, word: str, phase: float = 0.0) -> float:
     """Exact expectation of a three-letter Pauli word at t4."""
     state = premeasurement_state(prep, phase=phase)
-    obs = PauliString.from_word(word, ANCILLA_REGISTER)
-    applied = apply_pauli(state, obs)
-    return float(np.real(np.vdot(state.amplitudes, applied.amplitudes)))
+    return pauli_expectation(state, PauliString.from_word(word, ANCILLA_REGISTER))

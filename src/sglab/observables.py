@@ -26,7 +26,6 @@ from .tensor import (
     Register,
     RegisterError,
     apply_operator,
-    expectation,
 )
 
 PAULI = {
@@ -107,6 +106,11 @@ def apply_pauli(state: PureState, obs: PauliString) -> PureState:
     for label in obs.support():
         out = apply_operator(out, PAULI[obs.letters[label]], [label])
     return out
+
+
+def pauli_expectation(state: PureState, obs: PauliString) -> float:
+    """<psi|O|psi> of a Pauli string, through ``apply_pauli``."""
+    return float(np.real(np.vdot(state.amplitudes, apply_pauli(state, obs).amplitudes)))
 
 
 @dataclass(frozen=True)

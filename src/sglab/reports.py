@@ -75,11 +75,15 @@ class RowTable:
 
 @dataclass
 class RunReport:
-    pipeline: str
-    config: dict
-    seed: int
-    rows: list | RowTable = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    """What ``render_report`` writes: the config echo, the rows and the summary.
+
+    The pipelines leave ``config`` empty; ``cli.run`` fills it with the
+    run's full configuration.
+    """
+
+    rows: list | RowTable
+    summary: dict
+    config: dict = field(default_factory=dict)
 
 
 def format_value(value) -> str:

@@ -108,7 +108,7 @@ class PureState:
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        if self.normalized and abs(self.norm() - 1.0) > NORM_TOL:
+        if self.normalized and not abs(self.norm() - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {self.norm()} deviates from 1 beyond {NORM_TOL}")
 
     def norm(self) -> float:
@@ -168,7 +168,7 @@ class EnsembleState:
         weights = np.array([w for w, _ in members])
         if np.any(weights < 0):
             raise ValueError("ensemble weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > NORM_TOL:
+        if not abs(weights.sum() - 1.0) <= NORM_TOL:
             raise ValueError(f"ensemble weights sum to {weights.sum()}, not 1")
         reg = members[0][1].register
         if any(s.register != reg for _, s in members):
@@ -202,10 +202,10 @@ class DensityMatrix:
         d = self.register.dim
         if mat.shape != (d, d):
             raise RegisterError(f"entries shape {mat.shape} != ({d}, {d})")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
         if float(np.linalg.eigvalsh(mat).min()) < EIGENVALUE_FLOOR:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")

@@ -3,24 +3,26 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from sglab import RunReport, parse_config_echo, render_report
-from sglab.cli import ConfigError, ExperimentConfig, main
+import sglab
+from sglab import RunReport, cli, parse_config_echo, render_report
+from sglab.cli import PIPELINES, ConfigError, ExperimentConfig, main
 from sglab.reports import format_value
+from test_golden import CASES
 
 
 class TestReportFormats:
     def report(self):
         return RunReport(
-            pipeline="local",
-            config={"pipeline": "local", "seed": 3, "shots": 2},
-            seed=3,
             rows=[{"shot": 0, "word": "110", "product": -1},
                   {"shot": 1, "word": "001", "product": -1}],
             summary={"product_mean": -1.0, "ok": True, "f": 0.1 + 0.2j},
+            config={"pipeline": "local", "seed": 3, "shots": 2},
         )
 
     def test_json_lines_structure(self):
@@ -94,6 +96,61 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(pipeline="sweep", d=[2, 4], trials=7, seed=1)
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize("key,value", [
+        ("shots", True), ("shots", 1.5), ("shots", 10.0), ("shots", "10"),
+        ("trials", False), ("trials", 2.0),
+        ("seed", True), ("seed", 3.5), ("seed", "3"),
+        ("d", [2, True]), ("d", [2.0]), ("d", [2, 3.5]), ("d", 3),
+        ("mixture", 1), ("mixture", "yes"), ("mixture", None),
+        ("alpha_re", True), ("alpha_re", "0.5"), ("alpha_re", 10**400),
+        ("d", [2, 3, 2]), ("out", 1),
+    ])
+    def test_rejects_mistyped_values_and_repeated_d(self, key, value):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"pipeline": "sweep", key: value})
+
+    def test_integer_amplitudes_are_accepted_as_floats(self):
+        cfg = ExperimentConfig(pipeline="local", alpha_re=1, alpha_im=0, beta_re=0, beta_im=0)
+        assert [type(cfg.to_dict()[k]) for k in cli.AMPLITUDES] == [float] * 4
+
+    @pytest.mark.parametrize("pipeline", ["blindness", "absorbing"])
+    def test_detector_pipelines_take_one_d(self, pipeline):
+        assert ExperimentConfig(pipeline=pipeline, d=[4]).d == [4]
+        with pytest.raises(ConfigError, match="exactly one d"):
+            ExperimentConfig(pipeline=pipeline, d=[2, 3])
+
+
+class TestPipelineTable:
+    @pytest.mark.parametrize("pipeline,module,name", [
+        ("local", "experiment", "run_local_mode"),
+        ("joint", "experiment", "run_joint_mode"),
+        ("blindness", "decoherence", "blindness_contrast"),
+        ("absorbing", "decoherence", "absorbing_variant"),
+        ("sweep", "decoherence", "sweep_suppression"),
+    ])
+    def test_pipeline_table_looks_up_callees_when_called(self, pipeline, module, name,
+                                                         monkeypatch):
+        # A wrapper installed on the module attribute after import (as a
+        # tracer does) must see the call.
+        owner = getattr(sglab, module)
+        original, calls = getattr(owner, name), []
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        config = ExperimentConfig(pipeline=pipeline, d=[2], trials=2, shots=5)
+        PIPELINES[pipeline](config, 1)
+        assert calls == [name]
+
+    def test_pipeline_table_matches_parser_and_golden_cases(self):
+        run_parser = cli._build_parser()._subparsers._group_actions[0].choices["run"]
+        [pipeline_arg] = [a for a in run_parser._actions if a.dest == "pipeline"]
+        assert len(PIPELINES) == 7
+        assert list(pipeline_arg.choices) == list(PIPELINES)
+        assert {argv[0] for argv in CASES.values()} == set(PIPELINES)
 
 
 def run_cli(args):
@@ -199,6 +256,31 @@ class TestCliEndToEnd:
         assert run_cli(argv + ["--seed", "1", "--out", str(out)]) == 2
         assert "non-finite" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("pipeline", list(PIPELINES))
+    def test_nan_prep_exits_2_before_any_work(self, pipeline, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        out = tmp_path / "run.jsonl"
+        assert run_cli([pipeline, "--alpha-re", "nan", "--seed", "1", "--out", str(out)]) == 2
+        assert "prep amplitudes" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_report_to_redirected_stdout_stays_intact(self, tmp_path):
+        target = tmp_path / "captured.jsonl"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sglab.__file__))}
+        with open(target, "wb") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sglab.cli", "run", "joint", "--seed", "2",
+                 "--out", "/dev/stdout"],
+                stdout=fh, stderr=subprocess.PIPE, env=env, cwd=tmp_path, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        records = [json.loads(line) for line in target.read_text().splitlines()]
+        assert records[0]["record"] == "config"
+        assert records[0]["out"] == "/dev/stdout"
+        assert records[-1]["record"] == "summary"
 
     @pytest.mark.parametrize("pipeline", ["condition", "blindness", "absorbing"])
     def test_csv_with_nested_cells_parses(self, pipeline, tmp_path):

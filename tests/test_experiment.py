@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from sglab import (
     PureState,
     SpinPrep,
-    basis_state,
     branch_mixture,
     condition_on_spin_x,
     evolve_stages,

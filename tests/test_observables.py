@@ -1,11 +1,15 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sglab import (
     EnsembleState,
     PureState,
     apply_operator,
     basis_state,
+    expectation,
     factor_out,
     qubits,
     tensor_product,
@@ -20,6 +24,7 @@ from sglab.observables import (
     joint_circuit_xxx,
     measure_joint_spectral,
     measure_projective,
+    pauli_expectation,
     pauli_matrix,
 )
 from sglab.sampling import stream
@@ -109,6 +114,17 @@ class TestPauliString:
             slotwise = apply_pauli(state, obs).amplitudes
             dense = pauli_matrix(obs, REG3) @ state.amplitudes
             assert np.allclose(slotwise, dense)
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.lists(st.floats(-1, 1), min_size=16, max_size=16)
+           .filter(lambda v: np.linalg.norm(v) > 1e-3),
+           word=st.sampled_from([w for w in map("".join, product("IXYZ", repeat=3)) if w != "III"]))
+    def test_pauli_expectation_matches_dense_oracle(self, parts, word):
+        amps = np.array(parts[:8]) + 1j * np.array(parts[8:])
+        state = PureState(REG3, amps / np.linalg.norm(amps))
+        obs = PauliString.from_word(word, REG3)
+        dense = expectation(state, pauli_matrix(obs, REG3), REG3.labels).real
+        assert abs(pauli_expectation(state, obs) - dense) <= 1e-12
 
 
 class TestProjectiveMeasurement:

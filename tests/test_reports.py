@@ -47,7 +47,7 @@ def mixed_report() -> RunReport:
         "word": np.array(["110", "a,b", 'q"t', "110", "", "001"]),
         "nested": [0.1 + 0.2j, [1, 2.5], {"k": None}, "x,y", 4, -0.0],
     })
-    return RunReport("mixed", {"pipeline": "mixed", "seed": 1}, 1, rows, {"n": 6})
+    return RunReport(rows, {"n": 6}, {"pipeline": "mixed", "seed": 1})
 
 
 class TestColumns:
@@ -63,7 +63,7 @@ class TestColumns:
     @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
     def test_sweep_columns_match_row_rendering(self, fmt):
         rows, summary = sweep_suppression(GENERIC, [2, 3, 2], 4, seed=3, weights_model="geometric")
-        report = RunReport("sweep", {"pipeline": "sweep"}, 3, rows, summary)
+        report = RunReport(rows, summary, {"pipeline": "sweep"})
         assert render_report(report, fmt) == reference_render(report, fmt)
 
     def test_row_table_reads_like_row_dicts(self):
@@ -82,7 +82,7 @@ class TestColumns:
     @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
     def test_rows_need_one_nonempty_column_set(self, rows, fmt):
         with pytest.raises(ValueError):
-            render_report(RunReport("x", {}, 0, rows, {}), fmt)
+            render_report(RunReport(rows, {}), fmt)
 
 
 class TestChunks:
@@ -109,13 +109,13 @@ class TestNonFinite:
     @pytest.mark.parametrize("column", [np.array([0.5, np.nan]), np.array([np.inf, 1.0]),
                                         [1j, complex(np.nan, 0)]])
     def test_columns_refuse(self, fmt, column):
-        report = RunReport("x", {}, 0, RowTable({"v": column}), {})
+        report = RunReport(RowTable({"v": column}), {})
         with pytest.raises(ValueError):
             render_report(report, fmt)
 
 
 def _nan_report() -> RunReport:
-    return RunReport("x", {}, 0, RowTable({"v": np.array([1.0] * (CHUNK_ROWS + 1) + [np.nan])}), {})
+    return RunReport(RowTable({"v": np.array([1.0] * (CHUNK_ROWS + 1) + [np.nan])}), {})
 
 
 class TestEmit:
