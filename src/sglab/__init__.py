@@ -14,6 +14,7 @@ from .tensor import (
     basis_state,
     expectation,
     factor_out,
+    haar_unitaries,
     haar_unitary,
     partial_trace,
     qubits,

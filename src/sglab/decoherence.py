@@ -36,6 +36,7 @@ from .tensor import (
     DensityMatrix,
     DimensionCapError,
     Register,
+    haar_unitaries,
     haar_unitary,
 )
 
@@ -48,6 +49,10 @@ FULL_DIM_CAP = 512
 ENV_DIM_CAP = 4096
 
 UNITARITY_TOL = 1e-12
+
+# The sweep samples its environment unitaries in stacks of about this many
+# complex entries, so d >= 128 gets one matrix per stack.
+SWEEP_CHUNK_ENTRIES = 2**14
 
 ENV_MODELS = ("haar", "phases", "identity")
 WEIGHT_MODELS = ("uniform", "geometric")
@@ -75,8 +80,7 @@ class DetectorModel:
         v = np.asarray(self.V, dtype=complex)
         if v.shape != (self.d, self.d):
             raise ValueError("V must be d x d")
-        if not np.max(np.abs(v.conj().T @ v - np.eye(self.d))) <= UNITARITY_TOL:
-            raise ValueError("V is not unitary within 1e-12")
+        _require_unitary(v)
         w = w.copy(); w.flags.writeable = False
         v = v.copy(); v.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -87,14 +91,7 @@ class DetectorModel:
                weights_model: str = "uniform", mode: str = "transmitting",
                label: str = "D", geometric_ratio: float = 0.5) -> "DetectorModel":
         """Seeded model with the chosen environment and weight classes."""
-        if env_model not in ENV_MODELS:
-            raise ValueError(f"env_model must be one of {ENV_MODELS}")
-        if weights_model not in WEIGHT_MODELS:
-            raise ValueError(f"weights_model must be one of {WEIGHT_MODELS}")
-        if d > ENV_DIM_CAP:
-            raise DimensionCapError(
-                f"environment dimension {d} exceeds dense sampling cap {ENV_DIM_CAP}"
-            )
+        _check_sampling(env_model, weights_model, [d])
         rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
         if env_model == "haar":
             v = haar_unitary(d, rng)
@@ -102,12 +99,49 @@ class DetectorModel:
             v = random_phase_unitary(d, rng)
         else:
             v = np.eye(d, dtype=complex)
-        if weights_model == "uniform":
-            w = np.full(d, 1.0 / d)
-        else:
-            w = geometric_ratio ** np.arange(d)
-            w = w / w.sum()
-        return cls(d=d, weights=w, V=v, mode=mode, label=label)
+        return cls(d=d, weights=_weights(d, weights_model, geometric_ratio), V=v,
+                   mode=mode, label=label)
+
+
+def _require_unitary(v: np.ndarray) -> None:
+    """Refuse a d x d V, or a stack of them, with any Gram-matrix entry more
+    than UNITARITY_TOL off the identity (a NaN entry is refused too)."""
+    gram = np.matmul(np.swapaxes(v, -1, -2).conj(), v)
+    gram -= np.eye(v.shape[-1])
+    if not np.max(np.abs(gram)) <= UNITARITY_TOL:
+        raise ValueError("V is not unitary within 1e-12")
+
+
+def _check_sampling(env_model: str, weights_model: str, d_values) -> None:
+    """Refuse unknown model names and environment dimensions outside [1, cap]."""
+    if env_model not in ENV_MODELS:
+        raise ValueError(f"env_model must be one of {ENV_MODELS}")
+    if weights_model not in WEIGHT_MODELS:
+        raise ValueError(f"weights_model must be one of {WEIGHT_MODELS}")
+    for d in d_values:
+        if d < 1:
+            raise ValueError("environment dimension must be >= 1")
+        if d > ENV_DIM_CAP:
+            raise DimensionCapError(
+                f"environment dimension {d} exceeds dense sampling cap {ENV_DIM_CAP}"
+            )
+
+
+def _weights(d: int, weights_model: str, geometric_ratio: float = 0.5) -> np.ndarray:
+    """Microstate weights p_mu: uniform, or geometric in mu and normalized."""
+    if weights_model == "uniform":
+        return np.full(d, 1.0 / d)
+    w = geometric_ratio ** np.arange(d)
+    return w / w.sum()
+
+
+def _env_unitaries(d: int, rngs, env_model: str) -> np.ndarray:
+    """Stack of environment unitaries, one per generator in ``rngs``."""
+    if env_model == "haar":
+        return haar_unitaries(d, rngs)
+    if env_model == "phases":
+        return np.stack([random_phase_unitary(d, rng) for rng in rngs])
+    return np.broadcast_to(np.eye(d, dtype=complex), (len(rngs), d, d))
 
 
 @dataclass(frozen=True)
@@ -310,36 +344,45 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
     """Monte Carlo sweep of coherence-factor suppression over d.
 
     For each (d, trial) a fresh detector pair is drawn from child streams
-    of the root seed.  The rows are columns (a ``RowTable``), one entry per
-    trial, filled in place: ``d``, ``trial``, |f|^2 for both detectors and
-    the off-diagonal magnitude of the reduced matrix.  The summary holds
-    the per-d sample mean of |f|^2 for comparison with 1/d^2 (the
-    uniform-p, Haar-V moment).
+    of the root seed: stream 2k for the up detector and 2k + 1 for the down
+    detector of row k.  The environment unitaries of each d are sampled
+    and checked for unitarity in stacks, with the same draws, bits and
+    1e-12 rule as ``DetectorModel.sample``.  The rows are columns (a
+    ``RowTable``), one entry per trial: ``d``, ``trial``, |f|^2 for both
+    detectors and the off-diagonal magnitude of the reduced matrix.  The
+    summary holds the per-d sample mean of |f|^2 for comparison with 1/d^2
+    (the uniform-p, Haar-V moment).
     """
     d_values = [int(d) for d in d_values]
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    _check_sampling(env_model, weights_model, d_values)
     streams = split(seed, 2 * len(d_values) * trials)
+    f = np.empty(len(streams), dtype=complex)  # f[2k] up, f[2k + 1] down
+    for i, d in enumerate(d_values):
+        w = _weights(d, weights_model)
+        step = max(1, SWEEP_CHUNK_ENTRIES // (d * d))
+        block_end = 2 * trials * (i + 1)
+        for lo in range(2 * trials * i, block_end, step):
+            v = _env_unitaries(d, streams[lo:min(lo + step, block_end)], env_model)
+            _require_unitary(v)
+            for j, vj in enumerate(v, lo):
+                f[j] = w @ np.diagonal(vj)
+    # Per-trial Python scalars, not array ufuncs: numpy's SIMD complex
+    # multiply and abs round differently from its scalar ones.
+    ab = prep.alpha * np.conj(prep.beta)
+    f = f.tolist()
+    f_up, f_dn = f[0::2], f[1::2]
     d_col = np.repeat(d_values, trials)
-    f_abs2_up = np.empty(d_col.size)
-    f_abs2_dn = np.empty(d_col.size)
-    offdiag_abs = np.empty(d_col.size)
-    for k, d in enumerate(d_col.tolist()):
-        det_up = DetectorModel.sample(d, streams[2 * k], env_model, weights_model,
-                                      mode=mode, label="D_up")
-        det_dn = DetectorModel.sample(d, streams[2 * k + 1], env_model, weights_model,
-                                      mode=mode, label="D_dn")
-        f_up = coherence_factor(det_up).value
-        f_dn = coherence_factor(det_dn).value
-        f_abs2_up[k] = abs(f_up) ** 2
-        f_abs2_dn[k] = abs(f_dn) ** 2
-        offdiag_abs[k] = abs(prep.alpha * np.conj(prep.beta) * f_up * np.conj(f_dn))
+    f_abs2_up = np.array([abs(x) ** 2 for x in f_up])
     rows = RowTable({
         "d": d_col,
         "trial": np.tile(np.arange(trials), len(d_values)),
         "f_abs2_up": f_abs2_up,
-        "f_abs2_dn": f_abs2_dn,
-        "offdiag_abs": offdiag_abs,
+        "f_abs2_dn": np.array([abs(x) ** 2 for x in f_dn]),
+        "offdiag_abs": np.array([abs(ab * up * np.conj(dn)) for up, dn in zip(f_up, f_dn)]),
     })
     summary = {}
     for d in d_values:

@@ -328,20 +328,35 @@ def factor_out(state: PureState, label: str, tol: float = 1e-10) -> tuple[PureSt
     return slot_state, rest_state
 
 
-def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed d x d unitary.
+def haar_unitaries(d: int, rngs) -> np.ndarray:
+    """Stack of Haar-distributed d x d unitaries, one per generator in ``rngs``.
 
-    Construction: complex-Gaussian (Ginibre) matrix, QR orthonormalization,
-    then the R-diagonal phase correction that makes the distribution Haar.
-    ``seed`` may be an integer or a numpy Generator.
+    Construction (Mezzadri 2007): each generator draws a complex-Gaussian
+    (Ginibre) matrix, real parts first; one batched QR orthonormalizes the
+    stack, then the R-diagonal phase correction makes each Q Haar.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    z = np.empty((len(rngs), d, d), dtype=complex)
+    buf = np.empty((d, d))
+    scale = 1 / np.sqrt(2)
+    for zk, rng in zip(z, rngs):
+        rng.standard_normal(out=buf)
+        np.multiply(buf, scale, out=zk.real)
+        rng.standard_normal(out=buf)
+        np.multiply(buf, scale, out=zk.imag)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (diag / np.abs(diag))[:, None, :]
+    return q
+
+
+def haar_unitary(d: int, seed) -> np.ndarray:
+    """Haar-distributed d x d unitary: the one-matrix case of ``haar_unitaries``.
+
+    ``seed`` may be an integer or a numpy Generator.
+    """
     from .sampling import stream  # local import to avoid a cycle
 
     rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return q
+    return haar_unitaries(d, [rng])[0]
