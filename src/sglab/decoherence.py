@@ -50,6 +50,10 @@ ENV_DIM_CAP = 4096
 
 UNITARITY_TOL = 1e-12
 
+# A sweep splits one child stream (about 1 kB) per detector draw up front,
+# 2 * trials * len(d) of them; refuse more draws than this.
+SWEEP_DRAW_CAP = 2**18
+
 # The sweep samples its environment unitaries in stacks of about this many
 # complex entries, so d >= 128 gets one matrix per stack.
 SWEEP_CHUNK_ENTRIES = 2**14
@@ -359,7 +363,12 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     _check_sampling(env_model, weights_model, d_values)
-    streams = split(seed, 2 * len(d_values) * trials)
+    draws = 2 * len(d_values) * trials
+    if draws > SWEEP_DRAW_CAP:
+        raise DimensionCapError(
+            f"sweep of {draws} detector draws (2 x trials x d values) exceeds cap {SWEEP_DRAW_CAP}"
+        )
+    streams = split(seed, draws)
     f = np.empty(len(streams), dtype=complex)  # f[2k] up, f[2k + 1] down
     for i, d in enumerate(d_values):
         w = _weights(d, weights_model)

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
-from sglab import DetectorModel, SpinPrep, coherence_factor, sweep_suppression
+from sglab import DetectorModel, DimensionCapError, SpinPrep, coherence_factor, sweep_suppression
 from sglab import decoherence
+from sglab.cli import main
+from sglab.decoherence import ENV_DIM_CAP, SWEEP_DRAW_CAP
 from sglab.reports import RowTable
 from sglab.sampling import split
 from sglab.tensor import haar_unitaries, haar_unitary
@@ -91,3 +93,47 @@ class TestStackedUnitarityGate:
         monkeypatch.setattr(decoherence, "haar_unitaries", spoiled)
         with pytest.raises(ValueError, match="V is not unitary within 1e-12"):
             sweep_suppression(GENERIC, [4], 3, seed=0)
+
+
+class TestFailBeforeDrawing:
+    @pytest.fixture
+    def no_split(self, monkeypatch):
+        def split_spy(seed, n):
+            raise AssertionError("split reached")
+
+        monkeypatch.setattr(decoherence, "split", split_spy)
+
+    @pytest.mark.parametrize("kwargs,error", [
+        ({"d_values": [4, ENV_DIM_CAP + 1]}, DimensionCapError),
+        ({"d_values": [4, 0]}, ValueError),
+        ({"d_values": [4], "env_model": "thermal"}, ValueError),
+        ({"d_values": [4], "weights_model": "zipf"}, ValueError),
+        ({"d_values": [4], "mode": "bouncing"}, ValueError),
+        ({"d_values": [2, 4], "trials": SWEEP_DRAW_CAP // 4 + 1}, DimensionCapError),
+    ])
+    def test_refused_before_any_stream_is_split(self, kwargs, error, no_split):
+        kwargs = {"trials": 3, **kwargs}
+        with pytest.raises(error):
+            sweep_suppression(GENERIC, seed=0, **kwargs)
+
+    def test_draw_cap_is_inclusive(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def split_spy(seed, n):
+            raise Reached(n)
+
+        monkeypatch.setattr(decoherence, "split", split_spy)
+        with pytest.raises(Reached) as reached:
+            sweep_suppression(GENERIC, [2, 4], SWEEP_DRAW_CAP // 4, seed=0)
+        assert reached.value.args == (SWEEP_DRAW_CAP,)
+
+    @pytest.mark.parametrize("argv", [
+        ["--d", f"4,{ENV_DIM_CAP + 1}", "--trials", "200"],
+        ["--d", "4,8", "--trials", str(SWEEP_DRAW_CAP // 4 + 1)],
+    ])
+    def test_cli_exits_3_without_drawing(self, argv, no_split, tmp_path, capsys):
+        out = tmp_path / "sweep.jsonl"
+        assert main(["run", "sweep", *argv, "--seed", "1", "--out", str(out)]) == 3
+        assert "exceeds" in capsys.readouterr().err
+        assert not out.exists()
