@@ -50,6 +50,9 @@ ENV_DIM_CAP = 4096
 
 UNITARITY_TOL = 1e-12
 
+# A sweep summary's pooled mean this close to the exact moment gets z = 0.
+MOMENT_TOL = 1e-12
+
 # A sweep splits one child stream (about 1 kB) per detector draw up front,
 # 2 * trials * len(d) of them; refuse more draws than this.
 SWEEP_DRAW_CAP = 2**18
@@ -353,9 +356,20 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
     and checked for unitarity in stacks, with the same draws, bits and
     1e-12 rule as ``DetectorModel.sample``.  The rows are columns (a
     ``RowTable``), one entry per trial: ``d``, ``trial``, |f|^2 for both
-    detectors and the off-diagonal magnitude of the reduced matrix.  The
-    summary holds the per-d sample mean of |f|^2 for comparison with 1/d^2
-    (the uniform-p, Haar-V moment).
+    detectors and the off-diagonal magnitude of the reduced matrix.
+
+    The summary has one entry per distinct d (a repeated d pools its
+    groups) with:
+
+    * ``mean_f_abs2``: the sample mean of the up detector's |f|^2;
+    * ``expected_uniform_haar``: 1/d^2, the moment for uniform p and Haar V
+      only, kept for older readers;
+    * ``expected_f_abs2``: the exact E|f|^2 of the model run (see
+      ``_f_abs2_moment``);
+    * ``pooled_mean_f_abs2``: the mean over both detectors, its sample
+      standard error ``stderr`` and ``z`` = (pooled - expected) / stderr.
+      ``z`` is 0 when the pooled mean is within 1e-12 of the expected
+      value, as for ``identity`` or d = 1, where every sample is exact.
     """
     d_values = [int(d) for d in d_values]
     if trials < 1:
@@ -386,17 +400,41 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
     f_up, f_dn = f[0::2], f[1::2]
     d_col = np.repeat(d_values, trials)
     f_abs2_up = np.array([abs(x) ** 2 for x in f_up])
+    f_abs2_dn = np.array([abs(x) ** 2 for x in f_dn])
     rows = RowTable({
         "d": d_col,
         "trial": np.tile(np.arange(trials), len(d_values)),
         "f_abs2_up": f_abs2_up,
-        "f_abs2_dn": np.array([abs(x) ** 2 for x in f_dn]),
+        "f_abs2_dn": f_abs2_dn,
         "offdiag_abs": np.array([abs(ab * up * np.conj(dn)) for up, dn in zip(f_up, f_dn)]),
     })
     summary = {}
     for d in d_values:
+        mask = d_col == d
+        pooled = np.concatenate([f_abs2_up[mask], f_abs2_dn[mask]])
+        expected = _f_abs2_moment(d, env_model, weights_model)
+        mean = float(pooled.mean())
+        stderr = float(pooled.std(ddof=1) / np.sqrt(pooled.size))
         summary[str(d)] = {
-            "mean_f_abs2": float(f_abs2_up[d_col == d].mean()),
+            "mean_f_abs2": float(f_abs2_up[mask].mean()),
             "expected_uniform_haar": 1.0 / d**2,
+            "expected_f_abs2": expected,
+            "pooled_mean_f_abs2": mean,
+            "stderr": stderr,
+            "z": 0.0 if abs(mean - expected) <= MOMENT_TOL else (mean - expected) / stderr,
         }
     return rows, summary
+
+
+def _f_abs2_moment(d: int, env_model: str, weights_model: str) -> float:
+    """Exact E|f|^2 for f = sum_mu p_mu V_mu,mu.
+
+    Haar V: sum p^2 / d, from the Weingarten rule
+    E[V_ij conj(V_kl)] = delta_ik delta_jl / d (Collins & Sniady 2006).
+    Independent uniform phases: sum p^2.  Identity: (sum p)^2 = 1.
+    """
+    if env_model == "identity":
+        return 1.0
+    w = _weights(d, weights_model)
+    s2 = float(w @ w)
+    return s2 / d if env_model == "haar" else s2

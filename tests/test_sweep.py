@@ -36,8 +36,21 @@ def loop_sweep(prep, d_values, trials, seed, env_model, weights_model):
         "f_abs2_dn": np.array(dn),
         "offdiag_abs": np.array(off),
     })
-    summary = {str(d): {"mean_f_abs2": float(up[d_col == d].mean()),
-                        "expected_uniform_haar": 1.0 / d**2} for d in d_values}
+    summary = {}
+    for d in d_values:
+        pooled = np.array([x for k, x in enumerate(up) if d_col[k] == d]
+                          + [x for k, x in enumerate(dn) if d_col[k] == d])
+        p2 = np.sum(DetectorModel.sample(d, 0, "identity", weights_model).weights ** 2)
+        expected = {"haar": p2 / d, "phases": p2, "identity": 1.0}[env_model]
+        se = pooled.std(ddof=1) / np.sqrt(pooled.size)
+        summary[str(d)] = {
+            "mean_f_abs2": float(up[d_col == d].mean()),
+            "expected_uniform_haar": 1.0 / d**2,
+            "expected_f_abs2": expected,
+            "pooled_mean_f_abs2": pooled.mean(),
+            "stderr": se,
+            "z": (pooled.mean() - expected) / se if abs(pooled.mean() - expected) > 1e-12 else 0.0,
+        }
     return rows, summary
 
 
@@ -52,9 +65,40 @@ def test_stacked_sweep_matches_per_trial_loop(env_model, weights_model, d_values
     for name, want in want_rows.columns.items():
         got = got_rows.columns[name]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert list(got_summary) == list(want_summary)
     for d, entry in want_summary.items():
-        for key, value in entry.items():
-            assert got_summary[d][key] == value, (d, key)
+        assert list(got_summary[d]) == list(entry)
+        assert got_summary[d]["mean_f_abs2"] == entry["mean_f_abs2"]
+        assert got_summary[d]["expected_uniform_haar"] == entry["expected_uniform_haar"]
+        for key in ("expected_f_abs2", "pooled_mean_f_abs2", "stderr", "z"):
+            assert got_summary[d][key] == pytest.approx(entry[key], rel=1e-9, abs=1e-15), (d, key)
+
+
+class TestSummary:
+    def test_phases_uniform_matches_its_own_moment(self):
+        # The Haar-uniform reference 1/d^2 = 0.0156 is wrong for this model.
+        _, summary = sweep_suppression(GENERIC, [8], 2000, seed=5, env_model="phases")
+        entry = summary["8"]
+        assert entry["expected_f_abs2"] == pytest.approx(0.125, abs=1e-15)
+        assert abs(entry["z"]) < 5
+        assert abs(entry["pooled_mean_f_abs2"] - 1 / 64) > 20 * entry["stderr"]
+
+    def test_haar_geometric_moment_is_sum_p2_over_d(self):
+        _, summary = sweep_suppression(GENERIC, [8], 2000, seed=6, weights_model="geometric")
+        p = 0.5 ** np.arange(8)
+        p /= p.sum()
+        entry = summary["8"]
+        assert entry["expected_f_abs2"] == pytest.approx(np.sum(p**2) / 8, rel=1e-12)
+        assert abs(entry["z"]) < 5
+
+    @pytest.mark.parametrize("env_model,d", [("identity", 5), ("haar", 1), ("phases", 1)])
+    def test_exact_models_read_z_zero(self, env_model, d):
+        _, summary = sweep_suppression(GENERIC, [d], 4, seed=7, env_model=env_model,
+                                       weights_model="geometric")
+        entry = summary[str(d)]
+        assert entry["expected_f_abs2"] == 1.0
+        assert entry["pooled_mean_f_abs2"] == pytest.approx(1.0, abs=1e-12)
+        assert entry["z"] == 0.0
 
 
 def test_haar_stack_is_bitwise_the_one_matrix_case():
