@@ -229,6 +229,22 @@ class TestJointMode:
         assert reads[0] == reads[2] == reads[4]
         assert first.summary["final_fidelity"] <= 1.0 + 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(prep=preps(), data=st.data(), seed=st.integers(0, 2**63 - 1))
+    def test_random_sequences_repeat_readouts(self, prep, data, seed):
+        # The four words commute, so a word read again, with any words read
+        # in between, gives its first readout back.
+        words = data.draw(st.lists(st.sampled_from(["IZZ", "ZZI", "ZIZ", "XXX"]),
+                                   min_size=1, max_size=8))
+        repeated = data.draw(st.sampled_from(words))
+        at = data.draw(st.integers(words.index(repeated) + 1, len(words)))
+        words.insert(at, repeated)
+        report = run_joint_mode(prep, words, seed)
+        first = {}
+        for word, readout in zip(words, report.summary["readouts"]):
+            assert first.setdefault(word, readout) == readout, word
+        assert report.summary["final_fidelity"] <= 1.0 + 1e-12
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             run_joint_mode(GENERIC, [], seed=0)
