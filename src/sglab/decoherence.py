@@ -363,7 +363,7 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
 
     * ``mean_f_abs2``: the sample mean of the up detector's |f|^2;
     * ``expected_uniform_haar``: 1/d^2, the moment for uniform p and Haar V
-      only, kept for older readers;
+      only, kept for existing readers;
     * ``expected_f_abs2``: the exact E|f|^2 of the model run (see
       ``_f_abs2_moment``);
     * ``pooled_mean_f_abs2``: the mean over both detectors, its sample
@@ -393,8 +393,8 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
             _require_unitary(v)
             for j, vj in enumerate(v, lo):
                 f[j] = w @ np.diagonal(vj)
-    # Per-trial Python scalars, not array ufuncs: numpy's SIMD complex
-    # multiply and abs round differently from its scalar ones.
+    # Per-trial Python scalars, not array ufuncs: numpy's array abs, complex
+    # multiply and square round differently from these scalar forms.
     ab = prep.alpha * np.conj(prep.beta)
     f = f.tolist()
     f_up, f_dn = f[0::2], f[1::2]

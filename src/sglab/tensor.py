@@ -339,6 +339,8 @@ def haar_unitaries(d: int, rngs) -> np.ndarray:
         raise ValueError("dimension must be >= 1")
     z = np.empty((len(rngs), d, d), dtype=complex)
     buf = np.empty((d, d))
+    # Same bits as (a + 1j * b) / sqrt(2): numpy divides a complex array by
+    # a real scalar as a multiply by its reciprocal (np.divide would not).
     scale = 1 / np.sqrt(2)
     for zk, rng in zip(z, rngs):
         rng.standard_normal(out=buf)
