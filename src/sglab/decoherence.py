@@ -396,8 +396,7 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
     # Per-trial Python scalars, not array ufuncs: numpy's array abs, complex
     # multiply and square round differently from these scalar forms.
     ab = prep.alpha * np.conj(prep.beta)
-    f = f.tolist()
-    f_up, f_dn = f[0::2], f[1::2]
+    f_up, f_dn = f[0::2].tolist(), f[1::2].tolist()
     d_col = np.repeat(d_values, trials)
     f_abs2_up = np.array([abs(x) ** 2 for x in f_up])
     f_abs2_dn = np.array([abs(x) ** 2 for x in f_dn])
