@@ -31,6 +31,9 @@ CASES = {
     "blindness": ["blindness", "--d", "2", "--env-model", "haar", "--seed", "16"],
     "absorbing": ["absorbing", "--d", "2", "--env-model", "phases", "--weights", "geometric",
                   "--seed", "17"],
+    "blindness-d8": ["blindness", "--d", "8", "--env-model", "haar", "--seed", "19"],
+    "absorbing-d8": ["absorbing", "--d", "8", "--env-model", "identity", "--weights", "geometric",
+                     "--seed", "20"],
     "sweep": ["sweep", "--d", "2,3", "--trials", "3", "--weights", "geometric", "--seed", "18"],
 }
 
