@@ -206,6 +206,14 @@ def rho_t4_full(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorModel) ->
     Brute-force oracle path: weight p_mu_up * p_mu_dn on each basis pair of
     initial microstates, each evolved into the two-branch pure state.
     Capped at total dimension 512 (environments up to d=8 transmitting).
+
+    Each branch vector has at most 2d of its entries nonzero, so rho lives
+    on the principal block of the indices where any branch vector is
+    nonzero (at most 2 d_up d_dn of them).  The weighted outer products
+    are summed on that block only, in the same (mu, nu) order and with the
+    same operations, then scattered into a zero matrix.  Outside the block
+    the full sum would only add +-0 to +0, so every entry has the bits of
+    the dense sum.
     """
     mode = _check_modes(det_up, det_dn)
     reg = _full_register(det_up, det_dn)
@@ -216,19 +224,27 @@ def rho_t4_full(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorModel) ->
     e0, e1 = np.eye(2, dtype=complex)
     eye_up = np.eye(det_up.d, dtype=complex)
     eye_dn = np.eye(det_dn.d, dtype=complex)
-    rho = np.zeros((reg.dim, reg.dim), dtype=complex)
+    vecs = np.empty((det_up.d * det_dn.d, reg.dim), dtype=complex)
+    weights = np.empty(det_up.d * det_dn.d)
     for mu in range(det_up.d):
         fired_up = det_up.V @ eye_up[mu]
         for nu in range(det_dn.d):
             fired_dn = det_dn.V @ eye_dn[nu]
-            w = det_up.weights[mu] * det_dn.weights[nu]
+            k = mu * det_dn.d + nu
+            weights[k] = det_up.weights[mu] * det_dn.weights[nu]
             up_branch = [e1, fired_up, e0, eye_dn[nu]]
             dn_branch = [e0, eye_up[mu], e1, fired_dn]
             if mode == "transmitting":
                 up_branch = [e1] + up_branch
                 dn_branch = [e0] + dn_branch
-            vec = prep.alpha * _kron_chain(up_branch) + prep.beta * _kron_chain(dn_branch)
-            rho += w * np.outer(vec, vec.conj())
+            vecs[k] = prep.alpha * _kron_chain(up_branch) + prep.beta * _kron_chain(dn_branch)
+    support = np.flatnonzero(np.any(vecs != 0, axis=0))
+    block = np.zeros((support.size, support.size), dtype=complex)
+    for w, vec in zip(weights, vecs[:, support]):
+        block += w * np.outer(vec, vec.conj())
+    rho = np.zeros((reg.dim, reg.dim), dtype=complex)
+    rho[np.ix_(support, support)] = block
+    del vecs, block
     return DensityMatrix(reg, rho)
 
 
@@ -314,19 +330,17 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel,
     full_dim = (2 if mode == "transmitting" else 1) * 4 * det_up.d * det_dn.d
     if full_dim <= FULL_DIM_CAP:
         rho = rho_t4_full(prep, det_up, det_dn)
+        # One full-register operator at a time; the trace stays the dense
+        # einsum, whose summation order sets the reported bits.
         x = PAULI["X"]
-        demon_up = demon_x_operator(det_up)
-        demon_dn = demon_x_operator(det_dn)
-        readout_up = np.kron(x, np.eye(det_up.d))
-        readout_dn = np.kron(x, np.eye(det_dn.d))
-        if mode == "transmitting":
-            demon_op = _kron_chain([x, demon_up, demon_dn])
-            readout_op = _kron_chain([x, readout_up, readout_dn])
-        else:
-            demon_op = np.kron(demon_up, demon_dn)
-            readout_op = np.kron(readout_up, readout_dn)
+        lead = [x] if mode == "transmitting" else []
+        demon_op = _kron_chain(lead + [demon_x_operator(det_up), demon_x_operator(det_dn)])
         report["demon_full"] = _trace_op(rho, demon_op)
+        del demon_op
+        readout_op = _kron_chain(lead + [np.kron(x, np.eye(det_up.d)),
+                                         np.kron(x, np.eye(det_dn.d))])
         report["readout_only_full"] = _trace_op(rho, readout_op)
+        del readout_op
     if seed is not None:
         report["seed"] = int(seed)
     return report

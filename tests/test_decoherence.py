@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,30 @@ from sglab.decoherence import ENV_DIM_CAP, FULL_DIM_CAP
 from sglab.observables import PAULI
 from sglab.sampling import split, stream
 
+
+def dense_rho_t4_full(prep, det_up, det_dn):
+    """The dense loop: one weighted outer product per (mu, nu) on the whole register."""
+    e0, e1 = np.eye(2, dtype=complex)
+    eye_up = np.eye(det_up.d, dtype=complex)
+    eye_dn = np.eye(det_dn.d, dtype=complex)
+    lead = ([e1], [e0]) if det_up.mode == "transmitting" else ([], [])
+    dim = (2 if lead[0] else 1) * 4 * det_up.d * det_dn.d
+    rho = np.zeros((dim, dim), dtype=complex)
+    for mu in range(det_up.d):
+        fired_up = det_up.V @ eye_up[mu]
+        for nu in range(det_dn.d):
+            fired_dn = det_dn.V @ eye_dn[nu]
+            w = det_up.weights[mu] * det_dn.weights[nu]
+            up_branch = lead[0] + [e1, fired_up, e0, eye_dn[nu]]
+            dn_branch = lead[1] + [e0, eye_up[mu], e1, fired_dn]
+            vec = (prep.alpha * functools.reduce(np.kron, up_branch)
+                   + prep.beta * functools.reduce(np.kron, dn_branch))
+            rho += w * np.outer(vec, vec.conj())
+    return rho
+
 BALANCED = SpinPrep.balanced()
 GENERIC = SpinPrep(0.6, 0.8j)
+COMPLEX = SpinPrep(complex(0.28, 0.6), complex(0.5, np.sqrt(1 - 0.28**2 - 0.36 - 0.25)))
 
 
 def trivial_detector(mode="transmitting"):
@@ -141,6 +165,21 @@ class TestDensityMatrices:
         big = DetectorModel.sample(16, 1)
         with pytest.raises(DimensionCapError):
             rho_t4_full(BALANCED, big, big)
+
+    @pytest.mark.parametrize("env_model", ["haar", "phases", "identity"])
+    @pytest.mark.parametrize("weights_model", ["uniform", "geometric"])
+    @pytest.mark.parametrize("mode,d_pairs", [
+        ("transmitting", [(1, 1), (2, 3), (5, 2), (8, 8)]),
+        ("absorbing", [(1, 1), (3, 2), (8, 8), (11, 11)]),
+    ], ids=["transmitting", "absorbing"])
+    def test_full_matrix_is_bitwise_the_dense_loop(self, env_model, weights_model, mode, d_pairs):
+        for k, (d_up, d_dn) in enumerate(d_pairs):
+            streams = split(70 + k, 2)
+            det_up = DetectorModel.sample(d_up, streams[0], env_model, weights_model, mode=mode)
+            det_dn = DetectorModel.sample(d_dn, streams[1], env_model, weights_model, mode=mode)
+            got = rho_t4_full(COMPLEX, det_up, det_dn).entries
+            want = dense_rho_t4_full(COMPLEX, det_up, det_dn)
+            assert got.tobytes() == want.tobytes(), (d_up, d_dn)
 
     def test_mode_mismatch_rejected(self):
         t = DetectorModel.sample(2, 1)

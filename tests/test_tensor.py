@@ -274,6 +274,54 @@ class TestDensityMatrix:
             DensityMatrix(reg, np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+class TestDensityMatrixBlockCheck:
+    """The checks run on the block of nonzero rows and columns only."""
+
+    REG = qubits("a", "b", "c", "d")
+    SUPPORT = [1, 4, 6, 11, 15]
+
+    def scattered(self, block):
+        mat = np.zeros((16, 16), dtype=complex)
+        mat[np.ix_(self.SUPPORT, self.SUPPORT)] = block
+        return mat
+
+    def psd_block(self):
+        rng = stream(3)
+        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        block = g @ g.conj().T
+        return block / np.trace(block).real
+
+    def test_scattered_psd_block_accepted(self):
+        mat = self.scattered(self.psd_block())
+        rho = DensityMatrix(self.REG, mat)
+        assert rho.entries.tobytes() == mat.tobytes()
+
+    def test_negative_eigenvalue_inside_block_refused(self):
+        u = haar_unitary(5, 4)
+        block = u @ np.diag([0.6, 0.3, 0.2, 0.1, -0.2]) @ u.conj().T
+        block = (block + block.conj().T) / 2
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(self.REG, self.scattered(block))
+
+    @pytest.mark.parametrize("row,col", [(4, 9), (9, 4), (2, 9)])
+    def test_lone_off_support_entry_fails_hermiticity(self, row, col):
+        mat = self.scattered(self.psd_block())
+        mat[row, col] = 1e-9
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(self.REG, mat)
+
+    @pytest.mark.parametrize("row,col", [(3, 3), (4, 9), (0, 13)])
+    def test_nan_outside_support_refused(self, row, col):
+        mat = self.scattered(self.psd_block())
+        mat[row, col] = np.nan
+        with pytest.raises(ValueError):
+            DensityMatrix(self.REG, mat)
+
+    def test_all_zero_matrix_fails_on_trace(self):
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(self.REG, np.zeros((16, 16)))
+
+
 class TestHaarUnitary:
     def test_unitarity(self):
         for d in (1, 2, 5, 16):
