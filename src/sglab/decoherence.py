@@ -31,7 +31,7 @@ import numpy as np
 from .experiment import SpinPrep
 from .observables import PAULI
 from .reports import RowTable
-from .sampling import random_phase_unitary, split, stream
+from .sampling import random_phase_unitary, spawn, stream
 from .tensor import (
     DensityMatrix,
     DimensionCapError,
@@ -53,8 +53,9 @@ UNITARITY_TOL = 1e-12
 # A sweep summary's pooled mean this close to the exact moment gets z = 0.
 MOMENT_TOL = 1e-12
 
-# A sweep splits one child stream (about 1 kB) per detector draw up front,
-# 2 * trials * len(d) of them; refuse more draws than this.
+# A sweep makes 2 * trials * len(d) detector draws, each from its own child
+# stream (about 1 kB, made one stack at a time), and keeps a few Python
+# objects per draw until its report is built; refuse more draws than this.
 SWEEP_DRAW_CAP = 2**18
 
 # The sweep samples its environment unitaries in stacks of about this many
@@ -368,7 +369,9 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
     of the root seed: stream 2k for the up detector and 2k + 1 for the down
     detector of row k.  The environment unitaries of each d are sampled
     and checked for unitarity in stacks, with the same draws, bits and
-    1e-12 rule as ``DetectorModel.sample``.  The rows are columns (a
+    1e-12 rule as ``DetectorModel.sample``.  Each stack's streams are
+    spawned just before it is drawn, so only one stack of generators is
+    alive at a time.  The rows are columns (a
     ``RowTable``), one entry per trial: ``d``, ``trial``, |f|^2 for both
     detectors and the off-diagonal magnitude of the reduced matrix.
 
@@ -396,14 +399,14 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
         raise DimensionCapError(
             f"sweep of {draws} detector draws (2 x trials x d values) exceeds cap {SWEEP_DRAW_CAP}"
         )
-    streams = split(seed, draws)
-    f = np.empty(len(streams), dtype=complex)  # f[2k] up, f[2k + 1] down
+    root = np.random.SeedSequence(int(seed))
+    f = np.empty(draws, dtype=complex)  # f[2k] up, f[2k + 1] down
     for i, d in enumerate(d_values):
         w = _weights(d, weights_model)
         step = max(1, SWEEP_CHUNK_ENTRIES // (d * d))
         block_end = 2 * trials * (i + 1)
         for lo in range(2 * trials * i, block_end, step):
-            v = _env_unitaries(d, streams[lo:min(lo + step, block_end)], env_model)
+            v = _env_unitaries(d, spawn(root, min(step, block_end - lo)), env_model)
             _require_unitary(v)
             for j, vj in enumerate(v, lo):
                 f[j] = w @ np.diagonal(vj)

@@ -17,8 +17,16 @@ def stream(seed: int) -> np.random.Generator:
 
 def split(seed: int, n: int) -> list[np.random.Generator]:
     """n independent child generators derived from one seed."""
-    children = np.random.SeedSequence(int(seed)).spawn(int(n))
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
+    return spawn(np.random.SeedSequence(int(seed)), n)
+
+
+def spawn(root: np.random.SeedSequence, n: int) -> list[np.random.Generator]:
+    """The next n child generators of ``root``.
+
+    Each call continues the child numbering of ``root``, so generators
+    taken chunk by chunk are those of one ``split`` of the same seed.
+    """
+    return [np.random.Generator(np.random.Philox(c)) for c in root.spawn(int(n))]
 
 
 def random_phase_unitary(d: int, seed) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from sglab import DetectorModel, DimensionCapError, SpinPrep, coherence_factor, sweep_suppression
 from sglab import decoherence
 from sglab.cli import main
-from sglab.decoherence import ENV_DIM_CAP, SWEEP_DRAW_CAP
+from sglab.decoherence import ENV_DIM_CAP, SWEEP_CHUNK_ENTRIES, SWEEP_DRAW_CAP
 from sglab.reports import RowTable
 from sglab.sampling import split
 from sglab.tensor import haar_unitaries, haar_unitary
@@ -101,6 +101,20 @@ class TestSummary:
         assert entry["z"] == 0.0
 
 
+def test_streams_are_spawned_one_stack_at_a_time(monkeypatch):
+    spawn, sizes = decoherence.spawn, []
+
+    def spawn_spy(root, n):
+        sizes.append(n)
+        return spawn(root, n)
+
+    monkeypatch.setattr(decoherence, "spawn", spawn_spy)
+    sweep_suppression(GENERIC, [2, 48], 2100, seed=3, env_model="identity")
+    assert sum(sizes) == 2 * 2 * 2100
+    assert max(sizes) == SWEEP_CHUNK_ENTRIES // 4
+    assert sizes[:3] == [4096, 4200 - 4096, SWEEP_CHUNK_ENTRIES // 48**2]
+
+
 def test_haar_stack_is_bitwise_the_one_matrix_case():
     for d in (1, 3, 48):
         stack = haar_unitaries(d, split(d, 5))
@@ -142,10 +156,10 @@ class TestStackedUnitarityGate:
 class TestFailBeforeDrawing:
     @pytest.fixture
     def no_split(self, monkeypatch):
-        def split_spy(seed, n):
-            raise AssertionError("split reached")
+        def spawn_spy(root, n):
+            raise AssertionError("spawn reached")
 
-        monkeypatch.setattr(decoherence, "split", split_spy)
+        monkeypatch.setattr(decoherence, "spawn", spawn_spy)
 
     @pytest.mark.parametrize("kwargs,error", [
         ({"d_values": [4, ENV_DIM_CAP + 1]}, DimensionCapError),
@@ -164,13 +178,13 @@ class TestFailBeforeDrawing:
         class Reached(Exception):
             pass
 
-        def split_spy(seed, n):
-            raise Reached(n)
+        def spawn_spy(root, n):
+            raise Reached(root.entropy, n)
 
-        monkeypatch.setattr(decoherence, "split", split_spy)
+        monkeypatch.setattr(decoherence, "spawn", spawn_spy)
         with pytest.raises(Reached) as reached:
-            sweep_suppression(GENERIC, [2, 4], SWEEP_DRAW_CAP // 4, seed=0)
-        assert reached.value.args == (SWEEP_DRAW_CAP,)
+            sweep_suppression(GENERIC, [2, 4], SWEEP_DRAW_CAP // 4, seed=9)
+        assert reached.value.args == (9, SWEEP_CHUNK_ENTRIES // 4)
 
     @pytest.mark.parametrize("argv", [
         ["--d", f"4,{ENV_DIM_CAP + 1}", "--trials", "200"],
