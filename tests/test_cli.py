@@ -12,6 +12,7 @@ import pytest
 import sglab
 from sglab import RunReport, cli, parse_config_echo, render_report
 from sglab.cli import PIPELINES, ConfigError, ExperimentConfig, main
+from sglab.experiment import SHOTS_CAP
 from sglab.reports import format_value
 from test_golden import CASES
 
@@ -240,6 +241,17 @@ class TestCliEndToEnd:
         assert run_cli(["sweep", "--d", "100000", "--seed", "1",
                         "--out", str(tmp_path / "x")]) == 3
         capsys.readouterr()
+
+    def test_shots_over_cap_exit_3_before_drawing(self, tmp_path, capsys, monkeypatch):
+        def no_stream(seed):
+            raise AssertionError("stream reached")
+
+        monkeypatch.setattr(sglab.experiment, "stream", no_stream)
+        out = tmp_path / "x"
+        assert run_cli(["local", "--shots", str(SHOTS_CAP + 1), "--seed", "1",
+                        "--out", str(out)]) == 3
+        assert f"exceed cap {SHOTS_CAP}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_code_io_error(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "out.jsonl"
