@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,8 @@ from sglab import (
     run_local_mode,
 )
 from sglab.experiment import ANCILLA_REGISTER, PATH_REGISTER
+
+from oracles import pauli_word_matrix, projective_probability
 
 GENERIC = SpinPrep(0.6, 0.8j)
 
@@ -184,6 +187,31 @@ class TestLocalMode:
             assert report.summary[key] == sum(2 * int(r["word"][k]) - 1 for r in rows) / shots
         assert report.summary["product_mean"] == sum(r["product"] for r in rows) / shots
         assert report.summary["product_always_plus_one"] == all(r["product"] == 1 for r in rows)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(prep=preps(), basis=st.sampled_from(["Z", "X"]), mixture=st.booleans(),
+           shots=st.integers(200, 4000), seed=st.integers(0, 2**63 - 1))
+    def test_born_frequencies(self, prep, basis, mixture, shots, seed):
+        # The readout parities over every nonempty set of slots fix all
+        # eight word frequencies (by their Walsh transform), and each has a
+        # Born probability from one projective_probability call.
+        e = np.eye(8)
+        if mixture:
+            members = [(abs(prep.alpha) ** 2, e[0b110]), (abs(prep.beta) ** 2, e[0b001])]
+        else:
+            members = [(1.0, prep.alpha * e[0b110] + prep.beta * e[0b001])]
+        counts = run_local_mode(prep, basis, shots, seed, mixture=mixture).summary["word_counts"]
+        for slots in itertools.product((False, True), repeat=3):
+            if not any(slots):
+                continue
+            op = pauli_word_matrix("".join(basis if s else "I" for s in slots))
+            p = sum(w * projective_probability(amps, op, +1) for w, amps in members)
+            even = sum(n for word, n in counts.items()
+                       if sum(s and b == "0" for s, b in zip(slots, word)) % 2 == 0)
+            # A probability below 1/shots gets the spread of one count, so a
+            # single stray count of a rare parity is not a 5 SE alarm.
+            se = np.sqrt(max(p * (1 - p), 1 / shots) / shots)
+            assert abs(even / shots - p) <= 5 * se, (slots, p, even, shots)
 
     def test_arg_validation(self):
         with pytest.raises(ValueError):
