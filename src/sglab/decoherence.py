@@ -371,9 +371,9 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
     and checked for unitarity in stacks, with the same draws, bits and
     1e-12 rule as ``DetectorModel.sample``.  Each stack's streams are
     spawned just before it is drawn, so only one stack of generators is
-    alive at a time.  The rows are columns (a
-    ``RowTable``), one entry per trial: ``d``, ``trial``, |f|^2 for both
-    detectors and the off-diagonal magnitude of the reduced matrix.
+    alive at a time.  The rows are columns (a ``RowTable``), one entry per
+    trial: ``d``, ``trial``, |f|^2 for both detectors and the off-diagonal
+    magnitude of the reduced matrix.
 
     The summary has one entry per distinct d (a repeated d pools its
     groups) with:

@@ -252,6 +252,8 @@ class TestCliEndToEnd:
                         "--out", str(out)]) == 3
         assert f"exceed cap {SHOTS_CAP}" in capsys.readouterr().err
         assert not out.exists()
+        with pytest.raises(AssertionError, match="stream reached"):  # the cap itself is allowed
+            run_cli(["local", "--shots", str(SHOTS_CAP), "--seed", "1", "--out", str(out)])
 
     def test_exit_code_io_error(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "out.jsonl"
