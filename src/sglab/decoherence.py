@@ -341,7 +341,6 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel,
         readout_op = _kron_chain(lead + [np.kron(x, np.eye(det_up.d)),
                                          np.kron(x, np.eye(det_dn.d))])
         report["readout_only_full"] = _trace_op(rho, readout_op)
-        del readout_op
     if seed is not None:
         report["seed"] = int(seed)
     return report

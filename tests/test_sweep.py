@@ -112,7 +112,8 @@ def test_streams_are_spawned_one_stack_at_a_time(monkeypatch):
     sweep_suppression(GENERIC, [2, 48], 2100, seed=3, env_model="identity")
     assert sum(sizes) == 2 * 2 * 2100
     assert max(sizes) == SWEEP_CHUNK_ENTRIES // 4
-    assert sizes[:3] == [4096, 4200 - 4096, SWEEP_CHUNK_ENTRIES // 48**2]
+    first = SWEEP_CHUNK_ENTRIES // 4
+    assert sizes[:3] == [first, 4200 - first, SWEEP_CHUNK_ENTRIES // 48**2]
 
 
 def test_haar_stack_is_bitwise_the_one_matrix_case():
@@ -155,7 +156,7 @@ class TestStackedUnitarityGate:
 
 class TestFailBeforeDrawing:
     @pytest.fixture
-    def no_split(self, monkeypatch):
+    def no_spawn(self, monkeypatch):
         def spawn_spy(root, n):
             raise AssertionError("spawn reached")
 
@@ -169,7 +170,7 @@ class TestFailBeforeDrawing:
         ({"d_values": [4], "mode": "bouncing"}, ValueError),
         ({"d_values": [2, 4], "trials": SWEEP_DRAW_CAP // 4 + 1}, DimensionCapError),
     ])
-    def test_refused_before_any_stream_is_split(self, kwargs, error, no_split):
+    def test_refused_before_any_stream_is_split(self, kwargs, error, no_spawn):
         kwargs = {"trials": 3, **kwargs}
         with pytest.raises(error):
             sweep_suppression(GENERIC, seed=0, **kwargs)
@@ -190,7 +191,7 @@ class TestFailBeforeDrawing:
         ["--d", f"4,{ENV_DIM_CAP + 1}", "--trials", "200"],
         ["--d", "4,8", "--trials", str(SWEEP_DRAW_CAP // 4 + 1)],
     ])
-    def test_cli_exits_3_without_drawing(self, argv, no_split, tmp_path, capsys):
+    def test_cli_exits_3_without_drawing(self, argv, no_spawn, tmp_path, capsys):
         out = tmp_path / "sweep.jsonl"
         assert main(["run", "sweep", *argv, "--seed", "1", "--out", str(out)]) == 3
         assert "exceeds" in capsys.readouterr().err
