@@ -208,7 +208,7 @@ def rho_t4_full(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorModel) ->
     initial microstates, each evolved into the two-branch pure state.
     Capped at total dimension 512 (environments up to d=8 transmitting).
 
-    Each branch vector has at most 2d of its entries nonzero, so rho lives
+    Each branch vector has at most d_up + d_dn nonzero entries, so rho lives
     on the principal block of the indices where any branch vector is
     nonzero (at most 2 d_up d_dn of them).  The weighted outer products
     are summed on that block only, in the same (mu, nu) order and with the
