@@ -162,9 +162,9 @@ def _run_detectors(config: ExperimentConfig, seed: int, mode: str) -> RunReport:
     """Demon vs readout-only contrast for one detector pair of dimension ``d[0]``."""
     up_rng, dn_rng = split(seed, 2)
     det_up = decoherence.DetectorModel.sample(
-        config.d[0], up_rng, config.env_model, config.weights, mode=mode, label="D_up")
+        config.d[0], up_rng, config.env_model, config.weights, mode=mode)
     det_dn = decoherence.DetectorModel.sample(
-        config.d[0], dn_rng, config.env_model, config.weights, mode=mode, label="D_dn")
+        config.d[0], dn_rng, config.env_model, config.weights, mode=mode)
     if mode == "absorbing":
         row = decoherence.absorbing_variant(config.prep(), det_up, det_dn)
     else:

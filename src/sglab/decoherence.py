@@ -24,12 +24,13 @@ P(1) U P(0) + P(0) U^-1 P(1) restores full X access; the readout-only X
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .experiment import SpinPrep
-from .observables import PAULI
+from .observables import PAULI, PauliString, pauli_matrix
 from .reports import RowTable
 from .sampling import random_phase_unitary, spawn, stream
 from .tensor import (
@@ -75,7 +76,6 @@ class DetectorModel:
     weights: np.ndarray
     V: np.ndarray
     mode: str = "transmitting"
-    label: str = "D"
 
     def __post_init__(self):
         if self.d < 1:
@@ -97,7 +97,7 @@ class DetectorModel:
     @classmethod
     def sample(cls, d: int, seed, env_model: str = "haar",
                weights_model: str = "uniform", mode: str = "transmitting",
-               label: str = "D", geometric_ratio: float = 0.5) -> "DetectorModel":
+               geometric_ratio: float = 0.5) -> "DetectorModel":
         """Seeded model with the chosen environment and weight classes."""
         _check_sampling(env_model, weights_model, [d])
         rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
@@ -107,8 +107,7 @@ class DetectorModel:
             v = random_phase_unitary(d, rng)
         else:
             v = np.eye(d, dtype=complex)
-        return cls(d=d, weights=_weights(d, weights_model, geometric_ratio), V=v,
-                   mode=mode, label=label)
+        return cls(d=d, weights=_weights(d, weights_model, geometric_ratio), V=v, mode=mode)
 
 
 def _require_unitary(v: np.ndarray) -> None:
@@ -188,17 +187,25 @@ def demon_x_operator(det: DetectorModel) -> np.ndarray:
     return p1 @ u @ p0 + p0 @ u.conj().T @ p1
 
 
-def _full_register(det_up: DetectorModel, det_dn: DetectorModel) -> Register:
-    slots = [("r_up", 2), ("e_up", det_up.d), ("r_dn", 2), ("e_dn", det_dn.d)]
+def _full_slots(det_up: DetectorModel, det_dn: DetectorModel) -> tuple:
+    slots = (("r_up", 2), ("e_up", det_up.d), ("r_dn", 2), ("e_dn", det_dn.d))
     if det_up.mode == "transmitting":
-        slots = [("s", 2)] + slots
-    return Register(tuple(slots))
+        slots = (("s", 2),) + slots
+    return slots
 
 
 def _check_modes(det_up: DetectorModel, det_dn: DetectorModel) -> str:
     if det_up.mode != det_dn.mode:
         raise ValueError("both detectors must share one mode")
     return det_up.mode
+
+
+def _branch_support(mode: str, d_up: int, d_dn: int) -> np.ndarray:
+    """Register indices of the down branch (s, r_up, r_dn) = (0, 0, 1), then
+    the up branch (1, 1, 0), each over (e_up, e_dn) in increasing order."""
+    ready = 2 * d_dn * np.arange(d_up)[:, None] + np.arange(d_dn)
+    fired_up = (6 if mode == "transmitting" else 2) * d_up * d_dn
+    return np.concatenate([(ready + d_dn).ravel(), (ready + fired_up).ravel()])
 
 
 def rho_t4_full(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorModel) -> DensityMatrix:
@@ -208,52 +215,36 @@ def rho_t4_full(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorModel) ->
     initial microstates, each evolved into the two-branch pure state.
     Capped at total dimension 512 (environments up to d=8 transmitting).
 
-    Each branch vector has at most d_up + d_dn nonzero entries, so rho lives
-    on the principal block of the indices where any branch vector is
-    nonzero (at most 2 d_up d_dn of them).  The weighted outer products
-    are summed on that block only, in the same (mu, nu) order and with the
-    same operations, then scattered into a zero matrix.  Outside the block
-    the full sum would only add +-0 to +0, so every entry has the bits of
-    the dense sum.
+    rho lives on the principal block of ``_branch_support``: two d_up x d_dn
+    arrays over (e_up, e_dn).  Each (mu, nu) vector is written there by
+    index, beta V_dn[:, nu] on down-branch row mu and alpha V_up[:, mu] on
+    up-branch column nu.  The weighted outer products are summed on the
+    block in (mu, nu) order and scattered into zeros.  Every entry has the
+    bits of the dense sum over Kronecker-product vectors: those differ only
+    in signs of zeros, and adding +-0 to a sum that starts at +0 changes
+    none of its bits.
     """
     mode = _check_modes(det_up, det_dn)
-    reg = _full_register(det_up, det_dn)
+    reg = Register(_full_slots(det_up, det_dn))
     if reg.dim > FULL_DIM_CAP:
         raise DimensionCapError(
             f"full density matrix dimension {reg.dim} exceeds cap {FULL_DIM_CAP}"
         )
-    e0, e1 = np.eye(2, dtype=complex)
-    eye_up = np.eye(det_up.d, dtype=complex)
-    eye_dn = np.eye(det_dn.d, dtype=complex)
-    vecs = np.empty((det_up.d * det_dn.d, reg.dim), dtype=complex)
-    weights = np.empty(det_up.d * det_dn.d)
-    for mu in range(det_up.d):
-        fired_up = det_up.V @ eye_up[mu]
-        for nu in range(det_dn.d):
-            fired_dn = det_dn.V @ eye_dn[nu]
-            k = mu * det_dn.d + nu
-            weights[k] = det_up.weights[mu] * det_dn.weights[nu]
-            up_branch = [e1, fired_up, e0, eye_dn[nu]]
-            dn_branch = [e0, eye_up[mu], e1, fired_dn]
-            if mode == "transmitting":
-                up_branch = [e1] + up_branch
-                dn_branch = [e0] + dn_branch
-            vecs[k] = prep.alpha * _kron_chain(up_branch) + prep.beta * _kron_chain(dn_branch)
-    support = np.flatnonzero(np.any(vecs != 0, axis=0))
-    block = np.zeros((support.size, support.size), dtype=complex)
-    for w, vec in zip(weights, vecs[:, support]):
-        block += w * np.outer(vec, vec.conj())
+    d_up, d_dn = det_up.d, det_dn.d
+    block = np.zeros((2 * d_up * d_dn, 2 * d_up * d_dn), dtype=complex)
+    for mu in range(d_up):
+        fired_up = prep.alpha * det_up.V[:, mu]
+        for nu in range(d_dn):
+            vec = np.zeros(2 * d_up * d_dn, dtype=complex)
+            dn_branch, up_branch = vec.reshape(2, d_up, d_dn)
+            dn_branch[mu] = prep.beta * det_dn.V[:, nu]
+            up_branch[:, nu] = fired_up
+            w = det_up.weights[mu] * det_dn.weights[nu]
+            block += w * np.outer(vec, vec.conj())
+    support = _branch_support(mode, d_up, d_dn)
     rho = np.zeros((reg.dim, reg.dim), dtype=complex)
     rho[np.ix_(support, support)] = block
-    del vecs, block
     return DensityMatrix(reg, rho)
-
-
-def _kron_chain(factors) -> np.ndarray:
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
 
 
 def reduced_rho_analytic(prep: SpinPrep, det_up: DetectorModel,
@@ -283,8 +274,8 @@ def reduced_rho_analytic(prep: SpinPrep, det_up: DetectorModel,
     return DensityMatrix(reg, rho)
 
 
-def _trace_op(rho: DensityMatrix, op: np.ndarray) -> float:
-    value = complex(np.einsum("ij,ji->", rho.entries, op))
+def _trace_op(rho: np.ndarray, op: np.ndarray) -> float:
+    value = complex(np.einsum("ij,ji->", rho, op))
     return float(value.real)
 
 
@@ -292,14 +283,11 @@ def _pointer_z_correlations(prep: SpinPrep, det_up: DetectorModel,
                             det_dn: DetectorModel) -> dict:
     """Z-sector collapse correlations computed from the reduced matrix."""
     rho = reduced_rho_analytic(prep, det_up, det_dn)
-    z, i2 = PAULI["Z"], PAULI["I"]
-    if det_up.mode == "transmitting":
-        return {
-            "z_s_z_rup": _trace_op(rho, _kron_chain([z, z, i2])),
-            "z_s_z_rdn": _trace_op(rho, _kron_chain([z, i2, z])),
-            "z_rup_z_rdn": _trace_op(rho, _kron_chain([i2, z, z])),
-        }
-    return {"z_rup_z_rdn": _trace_op(rho, np.kron(z, z))}
+    pairs = {"z_s_z_rup": ("s", "r_up"), "z_s_z_rdn": ("s", "r_dn"),
+             "z_rup_z_rdn": ("r_up", "r_dn")}
+    return {key: _trace_op(rho.entries, pauli_matrix(PauliString(dict.fromkeys(pair, "Z")),
+                                                     rho.register))
+            for key, pair in pairs.items() if set(pair) <= set(rho.register.labels)}
 
 
 def blindness_contrast(prep: SpinPrep, det_up: DetectorModel,
@@ -313,6 +301,11 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel,
     collapse correlations are unsuppressed either way.  Full-matrix values
     are included whenever the register fits the dimension cap; the
     analytic values have no cap.
+
+    The full values are traces on the branch block of ``rho_t4_full``
+    against mode-free operators that swap the branches: [[0, M^H], [M, 0]]
+    with M = X_D_up[fired, ready] (x) X_D_dn[ready, fired] for the demon,
+    X (x) I for readout-only.  They have the bits of dense register traces.
     """
     mode = _check_modes(det_up, det_dn)
     f_up = coherence_factor(det_up).value
@@ -328,19 +321,17 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel,
         "readout_only_analytic": float(2.0 * np.real(ab * f_up * np.conj(f_dn))),
     }
     report.update(_pointer_z_correlations(prep, det_up, det_dn))
-    full_dim = (2 if mode == "transmitting" else 1) * 4 * det_up.d * det_dn.d
-    if full_dim <= FULL_DIM_CAP:
-        rho = rho_t4_full(prep, det_up, det_dn)
-        # One full-register operator at a time; the trace stays the dense
-        # einsum, whose summation order sets the reported bits.
-        x = PAULI["X"]
-        lead = [x] if mode == "transmitting" else []
-        demon_op = _kron_chain(lead + [demon_x_operator(det_up), demon_x_operator(det_dn)])
-        report["demon_full"] = _trace_op(rho, demon_op)
-        del demon_op
-        readout_op = _kron_chain(lead + [np.kron(x, np.eye(det_up.d)),
-                                         np.kron(x, np.eye(det_dn.d))])
-        report["readout_only_full"] = _trace_op(rho, readout_op)
+    # Sized from the slots: a Register refuses more than DIM_CAP entries,
+    # and the analytic values have no cap.
+    if math.prod(d for _, d in _full_slots(det_up, det_dn)) <= FULL_DIM_CAP:
+        d_up, d_dn = det_up.d, det_dn.d
+        support = _branch_support(mode, d_up, d_dn)
+        block = rho_t4_full(prep, det_up, det_dn).entries[np.ix_(support, support)]
+        m = np.kron(demon_x_operator(det_up)[d_up:, :d_up],
+                    demon_x_operator(det_dn)[:d_dn, d_dn:])
+        zero = np.zeros_like(m)
+        report["demon_full"] = _trace_op(block, np.block([[zero, m.conj().T], [m, zero]]))
+        report["readout_only_full"] = _trace_op(block, np.kron(PAULI["X"], np.eye(d_up * d_dn)))
     if seed is not None:
         report["seed"] = int(seed)
     return report
@@ -374,8 +365,7 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
     trial: ``d``, ``trial``, |f|^2 for both detectors and the off-diagonal
     magnitude of the reduced matrix.
 
-    The summary has one entry per distinct d (a repeated d pools its
-    groups) with:
+    The d values must be distinct.  The summary has one entry per d with:
 
     * ``mean_f_abs2``: the sample mean of the up detector's |f|^2;
     * ``expected_uniform_haar``: 1/d^2, the moment for uniform p and Haar V
@@ -388,6 +378,8 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
       value, as for ``identity`` or d = 1, where every sample is exact.
     """
     d_values = [int(d) for d in d_values]
+    if len(set(d_values)) != len(d_values):
+        raise ValueError(f"d values must be distinct, got {d_values}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if mode not in MODES:

@@ -18,7 +18,8 @@ from sglab import (
     rho_t4_full,
     sweep_suppression,
 )
-from sglab.decoherence import ENV_DIM_CAP, FULL_DIM_CAP
+from sglab.decoherence import ENV_DIM_CAP, FULL_DIM_CAP, MODES, _branch_support
+from sglab.tensor import DIM_CAP
 from sglab.observables import PAULI
 from sglab.sampling import split, stream
 
@@ -43,9 +44,30 @@ def dense_rho_t4_full(prep, det_up, det_dn):
             rho += w * np.outer(vec, vec.conj())
     return rho
 
+
+def dense_blindness_full(rho, det_up, det_dn):
+    """Demon and readout-only X traced on the whole register, with dense
+    Kronecker operators and one einsum over every entry."""
+    x = PAULI["X"]
+    lead = [x] if det_up.mode == "transmitting" else []
+    ops = {
+        "demon_full": lead + [demon_x_operator(det_up), demon_x_operator(det_dn)],
+        "readout_only_full": lead + [np.kron(x, np.eye(det_up.d)), np.kron(x, np.eye(det_dn.d))],
+    }
+    return {key: float(complex(np.einsum("ij,ji->", rho, functools.reduce(np.kron, factors))).real)
+            for key, factors in ops.items()}
+
 BALANCED = SpinPrep.balanced()
 GENERIC = SpinPrep(0.6, 0.8j)
 COMPLEX = SpinPrep(complex(0.28, 0.6), complex(0.5, np.sqrt(1 - 0.28**2 - 0.36 - 0.25)))
+ONLY_DOWN = SpinPrep(0.0, 1j)  # alpha = 0
+ONLY_UP = SpinPrep(-1.0, 0.0)  # beta = 0
+
+# The full path's (d_up, d_dn) grid, up to the cap in each mode.
+FULL_D_PAIRS = {
+    "transmitting": [(1, 1), (2, 3), (5, 2), (8, 8)],
+    "absorbing": [(1, 1), (3, 2), (4, 9), (11, 11)],
+}
 
 
 def trivial_detector(mode="transmitting"):
@@ -181,6 +203,18 @@ class TestDensityMatrices:
             want = dense_rho_t4_full(COMPLEX, det_up, det_dn)
             assert got.tobytes() == want.tobytes(), (d_up, d_dn)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_branch_support_is_the_dense_nonzero_columns(self, mode):
+        for k, (d_up, d_dn) in enumerate(FULL_D_PAIRS[mode]):
+            support = _branch_support(mode, d_up, d_dn)
+            assert support.size == 2 * d_up * d_dn
+            assert np.all(np.diff(support) > 0)
+            streams = split(80 + k, 2)
+            det_up = DetectorModel.sample(d_up, streams[0], mode=mode)
+            det_dn = DetectorModel.sample(d_dn, streams[1], mode=mode)
+            dense = dense_rho_t4_full(COMPLEX, det_up, det_dn)
+            assert np.array_equal(support, np.flatnonzero(dense.any(axis=0))), (d_up, d_dn)
+
     def test_mode_mismatch_rejected(self):
         t = DetectorModel.sample(2, 1)
         a = DetectorModel.sample(2, 1, mode="absorbing")
@@ -217,6 +251,20 @@ class TestDensityMatrices:
 
 
 class TestBlindnessContrast:
+    @pytest.mark.parametrize("env_model", ["haar", "phases", "identity"])
+    @pytest.mark.parametrize("weights_model", ["uniform", "geometric"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_block_traces_are_bitwise_the_dense_traces(self, env_model, weights_model, mode):
+        for k, (d_up, d_dn) in enumerate(FULL_D_PAIRS[mode]):
+            streams = split(90 + k, 2)
+            det_up = DetectorModel.sample(d_up, streams[0], env_model, weights_model, mode=mode)
+            det_dn = DetectorModel.sample(d_dn, streams[1], env_model, weights_model, mode=mode)
+            for prep in (COMPLEX, ONLY_DOWN, ONLY_UP):
+                report = blindness_contrast(prep, det_up, det_dn)
+                rho = rho_t4_full(prep, det_up, det_dn).entries
+                for key, want in dense_blindness_full(rho, det_up, det_dn).items():
+                    assert report[key] == want, (d_up, d_dn, prep, key)
+
     def test_trivial_environment_no_suppression(self):
         det = trivial_detector()
         report = blindness_contrast(BALANCED, det, det)
@@ -255,6 +303,28 @@ class TestBlindnessContrast:
         report = blindness_contrast(BALANCED, det_up, det_dn)
         assert "demon_full" not in report
         assert "demon_analytic" in report
+
+    @pytest.mark.parametrize("mode,d,has_full", [
+        ("transmitting", 8, True), ("transmitting", 9, False),
+        ("absorbing", 11, True), ("absorbing", 12, False),
+    ])
+    def test_full_values_stop_at_the_cap_in_both_modes(self, mode, d, has_full):
+        streams = split(66, 2)
+        det_up = DetectorModel.sample(d, streams[0], mode=mode)
+        det_dn = DetectorModel.sample(d, streams[1], mode=mode)
+        report = blindness_contrast(GENERIC, det_up, det_dn)
+        assert ("demon_full" in report) is has_full
+        assert ("readout_only_full" in report) is has_full
+        assert "demon_analytic" in report and "readout_only_analytic" in report
+
+    def test_analytic_values_beyond_the_register_cap(self):
+        d = 91  # 2 * 4 * 91**2 = 66248 > DIM_CAP: no Register of the full path exists
+        assert 2 * 4 * d * d > DIM_CAP
+        streams = split(67, 2)
+        report = blindness_contrast(BALANCED, DetectorModel.sample(d, streams[0]),
+                                    DetectorModel.sample(d, streams[1]))
+        assert "demon_full" not in report
+        assert report["demon_analytic"] == pytest.approx(1.0)
 
     def test_generic_prep_demon_value(self):
         det = trivial_detector()

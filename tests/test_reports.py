@@ -62,7 +62,7 @@ class TestColumns:
 
     @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
     def test_sweep_columns_match_row_rendering(self, fmt):
-        rows, summary = sweep_suppression(GENERIC, [2, 3, 2], 4, seed=3, weights_model="geometric")
+        rows, summary = sweep_suppression(GENERIC, [3, 2, 5], 4, seed=3, weights_model="geometric")
         report = RunReport(rows, summary, {"pipeline": "sweep"})
         assert render_report(report, fmt) == reference_render(report, fmt)
 

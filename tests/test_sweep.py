@@ -12,7 +12,7 @@ from sglab.tensor import haar_unitaries, haar_unitary
 
 GENERIC = SpinPrep(complex(0.28, 0.6), complex(0.5, np.sqrt(1 - 0.28**2 - 0.36 - 0.25)))
 
-D_LISTS = ([1, 2, 3, 48, 64, 130], [2, 3, 2])
+D_LISTS = ([1, 2, 3, 48, 64, 130], [3, 2, 5])
 
 
 def loop_sweep(prep, d_values, trials, seed, env_model, weights_model):
@@ -21,8 +21,8 @@ def loop_sweep(prep, d_values, trials, seed, env_model, weights_model):
     d_col = np.repeat(d_values, trials)
     up, dn, off = [], [], []
     for k, d in enumerate(d_col.tolist()):
-        det_up = DetectorModel.sample(d, streams[2 * k], env_model, weights_model, label="D_up")
-        det_dn = DetectorModel.sample(d, streams[2 * k + 1], env_model, weights_model, label="D_dn")
+        det_up = DetectorModel.sample(d, streams[2 * k], env_model, weights_model)
+        det_dn = DetectorModel.sample(d, streams[2 * k + 1], env_model, weights_model)
         f_up = coherence_factor(det_up).value
         f_dn = coherence_factor(det_dn).value
         up.append(abs(f_up) ** 2)
@@ -168,6 +168,7 @@ class TestFailBeforeDrawing:
         ({"d_values": [4], "env_model": "thermal"}, ValueError),
         ({"d_values": [4], "weights_model": "zipf"}, ValueError),
         ({"d_values": [4], "mode": "bouncing"}, ValueError),
+        ({"d_values": [2, 3, 2]}, ValueError),
         ({"d_values": [2, 4], "trials": SWEEP_DRAW_CAP // 4 + 1}, DimensionCapError),
     ])
     def test_refused_before_any_stream_is_split(self, kwargs, error, no_spawn):
