@@ -19,9 +19,9 @@ from sglab import (
     sweep_suppression,
 )
 from sglab.decoherence import ENV_DIM_CAP, FULL_DIM_CAP, MODES, _branch_support
-from sglab.tensor import DIM_CAP
 from sglab.observables import PAULI
 from sglab.sampling import split, stream
+from sglab.tensor import DIM_CAP
 
 
 def dense_rho_t4_full(prep, det_up, det_dn):
@@ -56,6 +56,7 @@ def dense_blindness_full(rho, det_up, det_dn):
     }
     return {key: float(complex(np.einsum("ij,ji->", rho, functools.reduce(np.kron, factors))).real)
             for key, factors in ops.items()}
+
 
 BALANCED = SpinPrep.balanced()
 GENERIC = SpinPrep(0.6, 0.8j)
