@@ -16,6 +16,7 @@ stdout (``--out /dev/stdout``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -202,7 +203,9 @@ def run(config: ExperimentConfig) -> str:
     return config.out
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="sglab",
         description="Ancilla-aided Stern-Gerlach measurement laboratory",

@@ -216,13 +216,14 @@ def rho_t4_full(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorModel) ->
     Capped at total dimension 512 (environments up to d=8 transmitting).
 
     rho lives on the principal block of ``_branch_support``: two d_up x d_dn
-    arrays over (e_up, e_dn).  Each (mu, nu) vector is written there by
-    index, beta V_dn[:, nu] on down-branch row mu and alpha V_up[:, mu] on
-    up-branch column nu.  The weighted outer products are summed on the
-    block in (mu, nu) order and scattered into zeros.  Every entry has the
-    bits of the dense sum over Kronecker-product vectors: those differ only
-    in signs of zeros, and adding +-0 to a sum that starts at +0 changes
-    none of its bits.
+    arrays over (e_up, e_dn).  Each (mu, nu) vector is nonzero only on
+    down-branch row mu, where it holds beta V_dn[:, nu], and on up-branch
+    column nu, where it holds alpha V_up[:, mu].  Its weighted outer
+    product is added on those d_dn + d_up rows and columns of the block, in
+    (mu, nu) order, and the block is scattered into zeros.  Every entry has
+    the bits of the dense sum over Kronecker-product vectors: the terms left
+    out are +-0, and adding +-0 to a sum that starts at +0 changes none of
+    its bits.
     """
     mode = _check_modes(det_up, det_dn)
     reg = Register(_full_slots(det_up, det_dn))
@@ -231,16 +232,17 @@ def rho_t4_full(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorModel) ->
             f"full density matrix dimension {reg.dim} exceeds cap {FULL_DIM_CAP}"
         )
     d_up, d_dn = det_up.d, det_dn.d
-    block = np.zeros((2 * d_up * d_dn, 2 * d_up * d_dn), dtype=complex)
+    n = d_up * d_dn
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    up_column = n + d_dn * np.arange(d_up)
     for mu in range(d_up):
         fired_up = prep.alpha * det_up.V[:, mu]
+        dn_row = mu * d_dn + np.arange(d_dn)
         for nu in range(d_dn):
-            vec = np.zeros(2 * d_up * d_dn, dtype=complex)
-            dn_branch, up_branch = vec.reshape(2, d_up, d_dn)
-            dn_branch[mu] = prep.beta * det_dn.V[:, nu]
-            up_branch[:, nu] = fired_up
+            rows = np.concatenate([dn_row, up_column + nu])
+            vec = np.concatenate([prep.beta * det_dn.V[:, nu], fired_up])
             w = det_up.weights[mu] * det_dn.weights[nu]
-            block += w * np.outer(vec, vec.conj())
+            block[np.ix_(rows, rows)] += w * np.outer(vec, vec.conj())
     support = _branch_support(mode, d_up, d_dn)
     rho = np.zeros((reg.dim, reg.dim), dtype=complex)
     rho[np.ix_(support, support)] = block

@@ -221,9 +221,13 @@ def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
     return RunReport(rows, summary)
 
 
-def _extend(state: PureState, labels: str) -> PureState:
-    fresh = basis_state(qubits(*labels.split(",")), "0" * len(labels.split(",")))
-    return tensor_product(state, fresh)
+# The |0> ancillae a joint step appends, built once: states are immutable.
+_FRESH_ANCILLAE = {labels: basis_state(qubits(*labels), "0" * len(labels))
+                   for labels in (("b",), ("c", "b"))}
+
+
+def _extend(state: PureState, labels: tuple[str, ...]) -> PureState:
+    return tensor_product(state, _FRESH_ANCILLAE[labels])
 
 
 def _drop(state: PureState, labels) -> PureState:
@@ -240,18 +244,18 @@ def _joint_step(state: PureState, name: str, rng: np.random.Generator) -> tuple[
     after the coupling ancilla b is read, so both helpers leave exactly.
     """
     if name == "IZZ":
-        work = _extend(state, "b")
+        work = _extend(state, ("b",))
         readout, post = joint_circuit_izz(work, rng)
         return readout, _drop(post, ["b"])
     if name in ("ZZI", "ZIZ"):
-        work = _extend(state, "c,b")
+        work = _extend(state, ("c", "b"))
         work = apply_operator(work, CNOT, ["s", "c"])  # Z copy of the spin onto c
         partner = "a_up" if name == "ZZI" else "a_dn"
         readout, post = joint_circuit_izz(work, rng, controls=(partner, "c"))
         post = apply_operator(post, CNOT, ["s", "c"])
         return readout, _drop(post, ["b", "c"])
     if name == "XXX":
-        work = _extend(state, "c,b")
+        work = _extend(state, ("c", "b"))
         # X-basis copy of the spin onto c, then rotate c so X_c carries X_s.
         work = apply_operator(work, HADAMARD, ["s"])
         work = apply_operator(work, CNOT, ["s", "c"])

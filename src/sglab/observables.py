@@ -25,6 +25,7 @@ from .tensor import (
     PureState,
     Register,
     RegisterError,
+    _slot_first,
     apply_operator,
 )
 
@@ -168,9 +169,7 @@ def measure_joint_spectral(state, obs: PauliString, rng: np.random.Generator) ->
 
 
 def _check_ancilla_ready(state: PureState, ancilla: str) -> None:
-    reg = state.register
-    ax = reg.axis(ancilla)
-    marginal = np.moveaxis(state.amplitudes.reshape(reg.dims), ax, 0).reshape(reg.dims[ax], -1)
+    marginal = _slot_first(state, ancilla)
     weight_outside_zero = float(np.sum(np.abs(marginal[1:]) ** 2))
     if weight_outside_zero > 1e-12:
         raise ValueError(f"coupling ancilla {ancilla!r} must start in |0>")

@@ -11,7 +11,10 @@ enters this module except through an explicit seed or generator argument.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,39 +44,32 @@ class Register:
     """
 
     slots: tuple[tuple[str, int], ...]
+    # Derived once per register in __post_init__; not compared, hashed or shown.
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "slots", tuple((str(l), int(d)) for l, d in self.slots))
-        labels = [l for l, _ in self.slots]
+        slots = tuple((str(l), int(d)) for l, d in self.slots)
+        labels = tuple(l for l, _ in slots)
+        dims = tuple(d for _, d in slots)
         if len(set(labels)) != len(labels):
-            raise RegisterError(f"duplicate slot labels in {labels}")
-        if any(d < 1 for _, d in self.slots):
+            raise RegisterError(f"duplicate slot labels in {list(labels)}")
+        if any(d < 1 for d in dims):
             raise RegisterError("slot dimensions must be >= 1")
-        if self.dim > DIM_CAP:
+        dim = math.prod(dims)
+        if dim > DIM_CAP:
             raise DimensionCapError(
-                f"register dimension {self.dim} exceeds cap {DIM_CAP}"
+                f"register dimension {dim} exceeds cap {DIM_CAP}"
             )
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(l for l, _ in self.slots)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.slots)
-
-    @property
-    def dim(self) -> int:
-        out = 1
-        for _, d in self.slots:
-            out *= d
-        return out
+        for name, value in (("slots", slots), ("labels", labels), ("dims", dims), ("dim", dim)):
+            object.__setattr__(self, name, value)
 
     def axis(self, label: str) -> int:
-        for i, (l, _) in enumerate(self.slots):
-            if l == label:
-                return i
-        raise RegisterError(f"unknown slot label {label!r} (have {self.labels})")
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise RegisterError(f"unknown slot label {label!r} (have {self.labels})") from None
 
     def dim_of(self, label: str) -> int:
         return self.slots[self.axis(label)][1]
@@ -91,13 +87,16 @@ def qubits(*labels: str) -> Register:
 class PureState:
     """Normalized complex amplitude vector over a register.
 
-    Construction validates the squared norm to 1e-12 unless
-    ``normalized=False`` (used for intermediate projector output).
+    Construction computes the norm once and validates it to 1e-12 unless
+    ``normalized=False`` (used for intermediate projector output).  After
+    construction ``normalized`` records whether the norm is within that
+    tolerance of 1, and ``norm()`` returns the stored value.
     """
 
     register: Register
     amplitudes: np.ndarray
     normalized: bool = True
+    _norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -108,11 +107,15 @@ class PureState:
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        if self.normalized and not abs(self.norm() - 1.0) <= NORM_TOL:
-            raise ValueError(f"state norm {self.norm()} deviates from 1 beyond {NORM_TOL}")
+        norm = float(np.linalg.norm(amps))
+        unit = abs(norm - 1.0) <= NORM_TOL
+        if self.normalized and not unit:
+            raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+        object.__setattr__(self, "_norm", norm)
+        object.__setattr__(self, "normalized", unit)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return self._norm
 
     def normalize(self) -> "PureState":
         n = self.norm()
@@ -232,22 +235,54 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
     if collision:
         raise RegisterError(f"label collision in tensor product: {sorted(collision)}")
     reg = Register(a.register.slots + b.register.slots)
-    return PureState(reg, np.kron(a.amplitudes, b.amplitudes),
+    # np.outer is np.kron's multiply on 1-D inputs without its shape handling.
+    return PureState(reg, np.outer(a.amplitudes, b.amplitudes).reshape(-1),
                      normalized=a.normalized and b.normalized)
 
 
-def _apply_to_amplitudes(amps: np.ndarray, dims, op: np.ndarray, axes) -> np.ndarray:
-    """op acting on the listed axes, identity on the rest."""
-    n = len(dims)
-    psi = amps.reshape(dims)
-    psi = np.moveaxis(psi, axes, range(len(axes)))
-    target_dims = [dims[a] for a in axes]
-    rest_dims = [dims[i] for i in range(n) if i not in axes]
-    d_t = int(np.prod(target_dims, dtype=int))
-    out = op @ psi.reshape(d_t, -1)
-    out = out.reshape(target_dims + rest_dims)
-    out = np.moveaxis(out, range(len(axes)), axes)
-    return out.reshape(-1)
+class _Plan(NamedTuple):
+    gather: np.ndarray   # amplitude index of each entry of the targets-first matrix
+    scatter: np.ndarray  # the inverse permutation
+
+
+# Plans kept, keyed on (register dims, target axes).  A plan's two indices
+# take 16 bytes per amplitude, as much as a state (1 MB at DIM_CAP); the
+# pipelines use about a dozen plans on registers of at most 32 amplitudes.
+PLAN_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(dims: tuple[int, ...], axes: tuple[int, ...]) -> _Plan:
+    """Contraction plan for the target ``axes`` of a register of ``dims``.
+
+    ``amps[gather].reshape(d_t, -1)``, with d_t the product of the target
+    dimensions, holds the values of
+    ``np.moveaxis(amps.reshape(dims), axes, range(len(axes))).reshape(d_t, -1)``,
+    targets first in the order given, as a C-contiguous copy;
+    ``out.reshape(-1)[scatter]`` moves the axes back.  The indices are
+    read-only, since every caller shares them.
+    """
+    rest = [i for i in range(len(dims)) if i not in axes]
+    gather = np.arange(math.prod(dims), dtype=np.intp).reshape(dims)
+    gather = gather.transpose(list(axes) + rest).reshape(-1)
+    scatter = np.argsort(gather)
+    gather.flags.writeable = False
+    scatter.flags.writeable = False
+    return _Plan(gather, scatter)
+
+
+def _slot_first(state: PureState, label: str) -> np.ndarray:
+    """The amplitudes as a (slot dim, rest) matrix with ``label``'s axis first.
+
+    This is the array ``np.moveaxis(amps.reshape(dims), axis, 0).reshape(d, -1)``
+    gives, a strided view where numpy can make one, without moveaxis'
+    argument handling.  The layout matters: ``factor_out``'s vector-matrix
+    product gives other bits on a C-contiguous copy of such a view.
+    """
+    reg = state.register
+    axis = reg.axis(label)
+    order = (axis, *(i for i in range(len(reg.dims)) if i != axis))
+    return state.amplitudes.reshape(reg.dims).transpose(order).reshape(reg.dims[axis], -1)
 
 
 def apply_operator(state: PureState, op: np.ndarray, targets,
@@ -257,26 +292,31 @@ def apply_operator(state: PureState, op: np.ndarray, targets,
     ``op`` need not be unitary; projectors are allowed.  The result is
     renormalized only when ``renormalize=True``; otherwise the output may
     carry a norm != 1 and is marked unnormalized when it does.
+
+    The product is ``op @ matrix`` on the targets-first matrix of
+    ``_plan``.  Where the ``np.moveaxis`` form made a strided view instead
+    of a copy, the matrix product still gives the same bits; the tests
+    check every amplitude against that form with ``==``.
     """
     reg = state.register
     targets = list(targets)
-    axes = [reg.axis(t) for t in targets]
+    axes = tuple(reg.axis(t) for t in targets)
     if len(set(axes)) != len(axes):
         raise RegisterError(f"repeated target label in {targets}")
     op = np.asarray(op, dtype=complex)
-    d_t = int(np.prod([reg.dims[a] for a in axes], dtype=int))
+    d_t = math.prod(reg.dims[a] for a in axes)
     if op.shape != (d_t, d_t):
         raise RegisterError(
             f"operator shape {op.shape} does not match target dimension {d_t}"
         )
-    out = _apply_to_amplitudes(state.amplitudes, reg.dims, op, axes)
+    plan = _plan(reg.dims, axes)
+    out = (op @ state.amplitudes[plan.gather].reshape(d_t, -1)).reshape(-1)[plan.scatter]
     if renormalize:
         n = float(np.linalg.norm(out))
         if n < 1e-14:
             raise ValueError("operator annihilated the state; cannot renormalize")
         return PureState(reg, out / n)
-    norm_ok = abs(float(np.linalg.norm(out)) - 1.0) <= NORM_TOL
-    return PureState(reg, out, normalized=norm_ok)
+    return PureState(reg, out, normalized=False)
 
 
 def expectation(state, op: np.ndarray, targets) -> complex:
@@ -325,9 +365,7 @@ def factor_out(state: PureState, label: str, tol: float = 1e-10) -> tuple[PureSt
     singular value of the bipartite amplitude matrix).
     """
     reg = state.register
-    ax = reg.axis(label)
-    dims = reg.dims
-    mat = np.moveaxis(state.amplitudes.reshape(dims), ax, 0).reshape(dims[ax], -1)
+    mat = _slot_first(state, label)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if len(s) > 1 and s[1] > tol:
         raise ValueError(f"slot {label!r} is entangled (Schmidt value {s[1]:.3e})")

@@ -70,3 +70,30 @@ def scipy_haar(d: int, seed: int) -> np.ndarray:
     from scipy.stats import unitary_group
 
     return unitary_group.rvs(d, random_state=seed)
+
+
+def moveaxis_apply(amps: np.ndarray, dims, op: np.ndarray, axes) -> np.ndarray:
+    """op on the listed axes, identity on the rest, through two np.moveaxis.
+
+    The reference for the package's gather-index kernel: same matrix, same
+    ``op @ matrix`` product, so the two must agree bit for bit.
+    """
+    dims = list(dims)
+    axes = list(axes)
+    psi = np.moveaxis(amps.reshape(dims), axes, range(len(axes)))
+    target_dims = [dims[a] for a in axes]
+    rest_dims = [dims[i] for i in range(len(dims)) if i not in axes]
+    d_t = int(np.prod(target_dims, dtype=int))
+    out = op @ psi.reshape(d_t, -1)
+    out = np.moveaxis(out.reshape(target_dims + rest_dims), range(len(axes)), axes)
+    return out.reshape(-1)
+
+
+def moveaxis_factor_out(amps: np.ndarray, dims, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slot, remainder) amplitudes of a product state, slot moved first by np.moveaxis."""
+    dims = list(dims)
+    mat = np.moveaxis(amps.reshape(dims), axis, 0).reshape(dims[axis], -1)
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    slot = u[:, 0] * s[0]
+    rest = u[:, 0].conj() @ mat
+    return slot / np.linalg.norm(slot), rest / np.linalg.norm(rest)

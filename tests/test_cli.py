@@ -153,6 +153,16 @@ class TestPipelineTable:
         assert list(pipeline_arg.choices) == list(PIPELINES)
         assert {argv[0] for argv in CASES.values()} == set(PIPELINES)
 
+    def test_parser_is_built_once_and_parsing_leaves_it_unchanged(self):
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        first = parser.parse_args(["run", "joint", "--seed", "5", "--observables", "XXX"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "nonsense"])
+        again = parser.parse_args(["run", "local"])
+        assert (first.seed, first.observables) == (5, "XXX")
+        assert (again.pipeline, again.seed, again.observables) == ("local", None, None)
+
 
 def run_cli(args):
     return main(["run"] + args)

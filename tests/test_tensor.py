@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sglab import (
@@ -20,10 +20,17 @@ from sglab import (
     qubits,
     tensor_product,
 )
+from sglab import tensor
 from sglab.observables import PAULI
 from sglab.sampling import stream
 
-from oracles import brute_partial_trace, random_state, scipy_haar
+from oracles import (
+    brute_partial_trace,
+    moveaxis_apply,
+    moveaxis_factor_out,
+    random_state,
+    scipy_haar,
+)
 
 
 def ghz_state():
@@ -106,6 +113,15 @@ class TestTensorProduct:
         prod = tensor_product(a, b)
         assert np.allclose(prod.amplitudes, np.kron(a.amplitudes, b.amplitudes))
 
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_the_kronecker_product(self, d_a, d_b, seed):
+        rng = stream(seed)
+        a = PureState(Register((("a", d_a),)), random_state(d_a, rng))
+        b = PureState(Register((("b", d_b),)), random_state(d_b, rng))
+        prod = tensor_product(a, b).amplitudes
+        assert prod.tobytes() == np.kron(a.amplitudes, b.amplitudes).tobytes()
+
     def test_label_collision(self):
         with pytest.raises(RegisterError):
             tensor_product(basis_state(qubits("a"), "0"), basis_state(qubits("a"), "0"))
@@ -167,6 +183,115 @@ class TestApplyOperator:
         u = haar_unitary(4, rng)
         out = apply_operator(state, u, ["a", "c"])
         assert abs(out.norm() - 1.0) < 1e-12
+
+
+def _mixed_register(dims) -> Register:
+    return Register(tuple((f"q{i}", d) for i, d in enumerate(dims)))
+
+
+DIMS = st.lists(st.integers(1, 3), min_size=1, max_size=5)
+
+
+@st.composite
+def dims_and_axes(draw):
+    """1-5 slots of dims 1-3 and a target subset in random order."""
+    dims = draw(DIMS)
+    order = draw(st.permutations(range(len(dims))))
+    return dims, order[:draw(st.integers(0, len(dims)))]
+
+
+class TestContractionPlan:
+    """apply_operator's plan and factor_out's slot-first matrix against the
+    np.moveaxis reference, bit for bit."""
+
+    @given(dims_and_axes(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    @example(case=([2, 2, 2, 2, 2], [4, 1]), seed=1)        # non-adjacent, reversed
+    @example(case=([2, 3, 1, 2, 3], [4, 3, 2, 1, 0]), seed=2)  # every axis, reversed
+    @example(case=([2, 2, 2], [0, 1, 2]), seed=3)           # already in place
+    @example(case=([2, 3], []), seed=4)                     # no target: a 1x1 operator
+    def test_apply_operator_is_bitwise_the_moveaxis_kernel(self, case, seed):
+        dims, axes = case
+        reg = _mixed_register(dims)
+        rng = stream(seed)
+        state = PureState(reg, random_state(reg.dim, rng))
+        d_t = int(np.prod([dims[a] for a in axes], dtype=int))
+        op = rng.standard_normal((d_t, d_t)) + 1j * rng.standard_normal((d_t, d_t))
+        out = apply_operator(state, op, [reg.labels[a] for a in axes])
+        ref = moveaxis_apply(state.amplitudes, dims, op, axes)
+        assert np.array_equal(out.amplitudes, ref)
+        assert out.amplitudes.tobytes() == ref.tobytes()
+
+    @given(DIMS.flatmap(lambda dims: st.tuples(st.just(dims), st.integers(0, len(dims) - 1))),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    # np.moveaxis gives a strided view here; a C-contiguous copy changes the
+    # bits of the remainder.
+    @example(case=([1, 2, 2, 2], 3), seed=0)
+    def test_factor_out_is_bitwise_the_moveaxis_kernel(self, case, seed):
+        dims, axis = case
+        reg = _mixed_register(dims)
+        rng = stream(seed)
+        rest_dims = [d for i, d in enumerate(dims) if i != axis]
+        slot = random_state(dims[axis], rng)
+        rest = random_state(int(np.prod(rest_dims, dtype=int)), rng)
+        product = np.moveaxis(np.multiply.outer(slot, rest.reshape(rest_dims)), 0, axis)
+        state = PureState(reg, product.reshape(-1), normalized=False).normalize()
+        got_slot, got_rest = factor_out(state, reg.labels[axis])
+        ref_slot, ref_rest = moveaxis_factor_out(state.amplitudes, dims, axis)
+        assert got_slot.amplitudes.tobytes() == ref_slot.tobytes()
+        assert got_rest.amplitudes.tobytes() == ref_rest.tobytes()
+
+    def test_plan_indices_are_shared_read_only(self):
+        plan = tensor._plan((2, 3, 2), (2, 0))
+        assert plan is tensor._plan((2, 3, 2), (2, 0))
+        with pytest.raises(ValueError):
+            plan.gather[0] = 1
+        with pytest.raises(ValueError):
+            plan.scatter[0] = 1
+
+    def test_cache_is_bounded(self):
+        assert tensor._plan.cache_info().maxsize == tensor.PLAN_CACHE_SIZE
+        assert tensor._plan.cache_info().maxsize is not None
+
+
+class TestGatesThroughThePlan:
+    def test_nan_operator_gives_an_unnormalized_state(self):
+        state = basis_state(qubits("a", "b"), "00")
+        out = apply_operator(state, np.full((2, 2), np.nan), ["b"])
+        assert not out.normalized
+        assert np.isnan(out.norm())
+
+    def test_nan_operator_refused_on_renormalize(self):
+        state = basis_state(qubits("a", "b"), "00")
+        with pytest.raises(ValueError, match="norm"), np.errstate(invalid="ignore"):
+            apply_operator(state, np.full((2, 2), np.nan), ["b"], renormalize=True)
+
+    @pytest.mark.parametrize("op, targets", [
+        (np.eye(4), ["q0"]),         # wrong shape
+        (np.eye(3), ["q1", "q1"]),   # repeated target
+        (np.eye(9), ["q1", "q1"]),   # repeated target whose square would fit
+    ])
+    def test_refused_before_a_plan_is_cached(self, op, targets):
+        state = PureState(_mixed_register((2, 3, 2)), np.eye(12)[0])
+        before = tensor._plan.cache_info()
+        with pytest.raises(RegisterError):
+            apply_operator(state, op, targets)
+        assert tensor._plan.cache_info() == before
+
+    def test_norm_is_computed_once_per_state(self, monkeypatch):
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda x: calls.append(1) or norm(x))
+        state = basis_state(qubits("a", "b"), "00")
+        calls.clear()
+        apply_operator(state, PAULI["X"], ["b"])
+        assert len(calls) == 1
+
+    def test_unit_norm_marked_normalized_even_when_not_required(self):
+        state = PureState(qubits("a"), [0.0, 1.0], normalized=False)
+        assert state.normalized
+        assert state.norm() == 1.0
 
 
 class TestExpectation:
