@@ -26,7 +26,7 @@ from .observables import (
     joint_circuit_xxx,
     pauli_expectation,
 )
-from .reports import RowTable, RunReport
+from .reports import Coded, RowTable, RunReport
 from .sampling import stream
 from .tensor import (
     DimensionCapError,
@@ -48,13 +48,13 @@ PROJECT_ZERO = np.array([[1, 0], [0, 0]], dtype=complex)
 
 JOINT_OBSERVABLES = ("IZZ", "ZZI", "ZIZ", "XXX")
 
-# A local run's peak memory grows by about 80 B per shot (measured at 1e6
-# shots), so 2**24 shots need about 1.3 GB; refuse more.
+# A local run's peak memory grows by about 16 B per shot, 19 B with the
+# mixture (process RSS at 1e6 and 4e6 shots), so 2**24 shots need about
+# 0.3 GB; refuse more.
 SHOTS_CAP = 2**24
 
 # Outcome words of the three slots, indexed by amplitude index (big-endian).
 _WORDS = tuple(format(w, "03b") for w in range(8))
-_WORD_LABELS = np.array(_WORDS)
 # Readout eigenvalue of each slot per word (+1 for 1, -1 for 0) and their product.
 _SLOT_EIGENVALUES = 2 * ((np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1) - 1
 _WORD_PRODUCTS = _SLOT_EIGENVALUES.prod(axis=1).astype(np.int8)
@@ -91,6 +91,22 @@ def _two_branch_state(register: Register, alpha: complex, beta: complex,
     return PureState(register, alpha * upper.amplitudes + beta * lower.amplitudes)
 
 
+# Register and (upper, lower) branch words of each stage.
+_STAGES = {
+    "t1": (ANCILLA_REGISTER, "100", "000"),
+    "t2": (PATH_REGISTER, "110", "001"),
+    "t3": (ANCILLA_REGISTER, "110", "001"),
+    "t4": (ANCILLA_REGISTER, "110", "001"),
+}
+
+
+def _stage(prep: SpinPrep, name: str, phase: float = 0.0) -> StageState:
+    """One stage of ``evolve_stages``, built alone."""
+    register, upper, lower = _STAGES[name]
+    beta = prep.beta * np.exp(1j * phase) if name == "t4" else prep.beta
+    return StageState(name, _two_branch_state(register, prep.alpha, beta, upper, lower))
+
+
 def evolve_stages(prep: SpinPrep, phase: float = 0.0) -> list[StageState]:
     """The four-stage evolution t1 -> t4.
 
@@ -99,18 +115,12 @@ def evolve_stages(prep: SpinPrep, phase: float = 0.0) -> list[StageState]:
     perfectly correlated with the spin.  ``phase`` multiplies the second
     branch at recombination.
     """
-    a, b = prep.alpha, prep.beta
-    t1 = _two_branch_state(ANCILLA_REGISTER, a, b, "100", "000")
-    t2 = _two_branch_state(PATH_REGISTER, a, b, "110", "001")
-    t3 = _two_branch_state(ANCILLA_REGISTER, a, b, "110", "001")
-    t4 = _two_branch_state(ANCILLA_REGISTER, a, b * np.exp(1j * phase), "110", "001")
-    return [StageState("t1", t1), StageState("t2", t2),
-            StageState("t3", t3), StageState("t4", t4)]
+    return [_stage(prep, name, phase) for name in _STAGES]
 
 
 def premeasurement_state(prep: SpinPrep, phase: float = 0.0) -> PureState:
     """The t4 state on (s, a_up, a_dn)."""
-    return evolve_stages(prep, phase=phase)[3].state
+    return _stage(prep, "t4", phase).state
 
 
 def branch_mixture(prep: SpinPrep) -> EnsembleState:
@@ -130,7 +140,7 @@ def ordinary_premeasurement(prep: SpinPrep) -> StageState:
     The state on (s, p_up, p_dn) is an exact eigenstate of the joint words
     Z_pup Z_pdn = -1, Z_s Z_pup = +1, Z_s Z_pdn = -1 for every prep.
     """
-    return evolve_stages(prep)[1]
+    return _stage(prep, "t2")
 
 
 def condition_on_spin_x(prep: SpinPrep, outcome: int, phase: float = 0.0) -> PureState:
@@ -152,11 +162,11 @@ def condition_on_spin_x(prep: SpinPrep, outcome: int, phase: float = 0.0) -> Pur
 
 
 def _sample_words(prob_sets, weights, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Word indices for each shot, mixing members by weight."""
+    """Word indices (uint8) for each shot, mixing members by weight."""
     if len(prob_sets) == 1:
-        return rng.choice(len(prob_sets[0]), size=shots, p=prob_sets[0])
+        return rng.choice(len(prob_sets[0]), size=shots, p=prob_sets[0]).astype(np.uint8)
     members = rng.choice(len(prob_sets), size=shots, p=weights)
-    words = np.empty(shots, dtype=np.int64)
+    words = np.empty(shots, dtype=np.uint8)
     for k, probs in enumerate(prob_sets):
         mask = members == k
         count = int(mask.sum())
@@ -175,10 +185,11 @@ def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
     word is drawn exactly from the joint Born distribution; sampling the
     word directly is the same experiment without the per-shot rebuild.
 
-    The rows are columns (a ``RowTable``) gathered from per-word tables:
-    ``shot``, the ``word`` label and the eigenvalue ``product`` of each
-    shot.  The summary comes from the word counts alone
-    (``np.bincount``), so no per-shot Python objects are made.
+    The rows are columns (a ``RowTable``): ``shot``, then the ``word``
+    label and the eigenvalue ``product`` of each shot as two ``Coded``
+    columns on the one uint8 array of sampled word indices.  The summary
+    comes from the word counts alone (``np.bincount``), so no per-shot
+    Python objects are made.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -215,8 +226,8 @@ def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
     }
     rows = RowTable({
         "shot": np.arange(shots),
-        "word": _WORD_LABELS[words],
-        "product": _WORD_PRODUCTS[words],
+        "word": Coded(words, _WORDS),
+        "product": Coded(words, tuple(_WORD_PRODUCTS.tolist())),
     })
     return RunReport(rows, summary)
 

@@ -14,7 +14,8 @@ printed with 17 significant digits, newlines are always "\\n".  Identical
 seeds therefore produce byte-identical files.  NaN and infinities are
 refused with ``ValueError``: neither format has a token for them.
 
-Rows are rendered column by column in chunks of ``CHUNK_ROWS``.
+Rows are rendered column by column in chunks of ``CHUNK_ROWS``.  A
+``Coded`` column has each of its distinct values formatted once.
 ``emit_report`` writes a long report chunk by chunk as it is rendered, to
 a temporary sibling file that replaces the target only once it is
 complete.
@@ -57,20 +58,47 @@ class RowTable:
 
     def __iter__(self):
         names = list(self.columns)
-        values = [col.tolist() if isinstance(col, np.ndarray) else col
-                  for col in self.columns.values()]
+        values = [_values(col) for col in self.columns.values()]
         for row in zip(*values):
             yield dict(zip(names, row))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RowTable):
             return (list(self.columns) == list(other.columns)
-                    and all(np.array_equal(a, b) for a, b in
+                    and all(np.array_equal(_values(a), _values(b)) for a, b in
                             zip(self.columns.values(), other.columns.values())))
         return NotImplemented
 
     def __repr__(self) -> str:
         return f"RowTable({len(self)} rows: {', '.join(self.columns)})"
+
+
+@dataclass(frozen=True, eq=False)
+class Coded:
+    """A report column whose row i holds ``table[codes[i]]``.
+
+    ``codes`` is a 1-d unsigned integer array and ``table`` a tuple with
+    one value per code.  The renderer formats each table entry once, not
+    once per row.  It formats every entry, whether a row uses it or not,
+    so a non-finite entry is refused even when no row holds it.  Adjacent
+    ``Coded`` columns on the same ``codes`` array are rendered as one text
+    per code.
+    """
+
+    codes: np.ndarray
+    table: tuple
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def tolist(self) -> list:
+        """The row values, as the table holds them."""
+        return list(map(self.table.__getitem__, self.codes.tolist()))
+
+
+def _values(col):
+    """A column's row values as Python objects (a list), or the column itself."""
+    return col.tolist() if isinstance(col, (np.ndarray, Coded)) else col
 
 
 @dataclass
@@ -146,25 +174,71 @@ def _columns(rows) -> tuple[dict, int]:
 def _cell_source(col, cell):
     """Callable (lo, hi) -> iterable of the cell texts of rows lo..hi-1.
 
-    Integer arrays print through ``str``.  String arrays (word labels,
-    with few distinct values) format each distinct value once and gather
-    the texts.  Everything else goes through ``cell`` one by one.
+    Integer arrays print through ``repr`` (the text of ``str``, without
+    the call through the ``str`` type); everything else goes through
+    ``cell`` one value at a time.
     """
-    if isinstance(col, np.ndarray) and col.dtype.kind == "U":
-        distinct, inverse = np.unique(col, return_inverse=True)
-        texts = np.array([cell(v) for v in distinct.tolist()], dtype=object)
-        return lambda lo, hi: texts[inverse[lo:hi]].tolist()
     if isinstance(col, np.ndarray):
-        to_text = str if col.dtype.kind in "iu" else cell
+        to_text = repr if col.dtype.kind in "iu" else cell
         return lambda lo, hi: map(to_text, col[lo:hi].tolist())
     return lambda lo, hi: map(cell, col[lo:hi])
+
+
+def _fuse(a, b):
+    """Two adjacent row pieces as one piece, or None if they stay apart.
+
+    A piece is a str (the same text in every row), a ``Coded`` of texts,
+    or a cell source.  Text next to a ``Coded`` piece joins each of its
+    texts; two ``Coded`` pieces on one ``codes`` array join code by code.
+    """
+    if isinstance(a, str) and isinstance(b, str):
+        return a + b
+    if isinstance(a, Coded) and isinstance(b, str):
+        return Coded(a.codes, tuple(text + b for text in a.table))
+    if isinstance(a, str) and isinstance(b, Coded):
+        return Coded(b.codes, tuple(a + text for text in b.table))
+    if isinstance(a, Coded) and isinstance(b, Coded) and a.codes is b.codes:
+        return Coded(a.codes, tuple(s + t for s, t in zip(a.table, b.table)))
+    return None
+
+
+def _row_pieces(columns: dict, prefixes: list, end: str, cell) -> list:
+    """Callables (lo, hi) -> iterable of texts whose zip, joined, is rows lo..hi-1.
+
+    Each column gives its prefix and its cells, then the row ends with
+    ``end``; adjacent pieces are fused where ``_fuse`` allows.  A
+    ``Coded`` column has each table entry formatted here, once.
+    """
+    raw = []
+    for prefix, col in zip(prefixes, columns.values()):
+        raw += [prefix, Coded(col.codes, tuple(map(cell, col.table))) if isinstance(col, Coded)
+                else _cell_source(col, cell)]
+    pieces = []
+    for piece in raw + [end]:
+        fused = _fuse(pieces[-1], piece) if pieces else None
+        if fused is not None:
+            pieces[-1] = fused
+        elif piece != "":  # csv's first prefix adds nothing
+            pieces.append(piece)
+    return [_piece_source(piece) for piece in pieces]
+
+
+def _piece_source(piece):
+    """Callable (lo, hi) -> iterable of one piece's texts for rows lo..hi-1."""
+    if isinstance(piece, str):
+        return lambda lo, hi: repeat(piece, hi - lo)
+    if isinstance(piece, Coded):
+        texts, codes = piece.table, piece.codes
+        return lambda lo, hi: map(texts.__getitem__, codes[lo:hi].tolist())
+    return piece
 
 
 def _chunks(report: RunReport, fmt: str):
     """The report text in pieces: the head, ``CHUNK_ROWS`` rows at a time, the tail.
 
     A row is the text of each cell after its column's prefix, then
-    ``end``; a chunk joins all pieces of its rows in one ``str.join``.
+    ``end``; a chunk joins the pieces of its rows (``_row_pieces``) in one
+    ``str.join``.
     """
     columns, n_rows = _columns(report.rows)
     if fmt == "json-lines":
@@ -186,16 +260,10 @@ def _chunks(report: RunReport, fmt: str):
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     yield "\n".join(head) + "\n"
-    sources = [(prefix, _cell_source(col, cell)) for prefix, col in zip(prefixes, columns.values())]
+    sources = _row_pieces(columns, prefixes, end, cell)
     for lo in range(0, n_rows, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n_rows)
-        pieces = []
-        for prefix, source in sources:
-            if prefix:
-                pieces.append(repeat(prefix, hi - lo))
-            pieces.append(source(lo, hi))
-        pieces.append(repeat(end, hi - lo))
-        yield "".join(chain.from_iterable(zip(*pieces)))
+        yield "".join(chain.from_iterable(zip(*(source(lo, hi) for source in sources))))
     yield tail + "\n"
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sglab import (
     PureState,
     SpinPrep,
+    basis_state,
     branch_mixture,
     condition_on_spin_x,
     evolve_stages,
@@ -63,6 +64,21 @@ class TestPrepAndStages:
         chi = 0.7
         t4 = premeasurement_state(GENERIC, phase=chi)
         assert t4.amplitudes[0b001] == pytest.approx(0.8j * np.exp(1j * chi))
+
+    @pytest.mark.parametrize("phase", [0.0, 0.7, -2.9])
+    def test_single_stage_builders_equal_evolve_stages(self, phase):
+        prep = SpinPrep(0.6 * np.exp(0.3j), 0.8 * np.exp(-1.1j))
+        stages = evolve_stages(prep, phase=phase)
+        t4 = premeasurement_state(prep, phase=phase)
+        t2 = ordinary_premeasurement(prep)
+        assert t4.register == stages[3].state.register
+        assert np.all(t4.amplitudes == stages[3].state.amplitudes)
+        assert t2.stage == "t2" and t2.state.register == stages[1].state.register
+        assert np.all(t2.state.amplitudes == stages[1].state.amplitudes)
+        # The t4 amplitudes, term by term as the four-stage build forms them.
+        upper = basis_state(ANCILLA_REGISTER, "110").amplitudes
+        lower = basis_state(ANCILLA_REGISTER, "001").amplitudes
+        assert np.all(t4.amplitudes == prep.alpha * upper + prep.beta * np.exp(1j * phase) * lower)
 
     def test_spin_z_expectation(self):
         assert expectation_t4(SpinPrep(0.6, 0.8), "ZII") == pytest.approx(-0.28)

@@ -4,14 +4,16 @@ import io
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sglab import RunReport, emit_report, render_report, run_local_mode, sweep_suppression
 from sglab.experiment import SpinPrep
 from sglab import reports
-from sglab.reports import CHUNK_ROWS, RowTable, format_value
+from sglab.reports import CHUNK_ROWS, Coded, RowTable, format_value
 
 GENERIC = SpinPrep(complex(0.28, 0.6), complex(0.5, math.sqrt(1 - 0.28**2 - 0.36 - 0.25)))
 
@@ -85,17 +87,147 @@ class TestColumns:
             render_report(RunReport(rows, {}), fmt)
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``; a mismatch names its first differing line.
+
+    pytest's own diff of two texts of ~1e4 lines runs for minutes.
+    """
+    if got != want:
+        got_lines, want_lines = got.splitlines(), want.splitlines()
+        i = next((k for k, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+                 min(len(got_lines), len(want_lines)))
+        pytest.fail(f"texts differ first at line {i}: {got_lines[i:i + 1]!r} != "
+                    f"{want_lines[i:i + 1]!r} ({len(got_lines)} and {len(want_lines)} lines)")
+
+
+def _codes(n: int, size: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, size, n).astype(np.uint8)
+
+
+def _coded_report(columns: dict) -> RunReport:
+    rows = RowTable(columns)
+    return RunReport(rows, {"n": len(rows)}, {"pipeline": "coded"})
+
+
+FORMATS = ["json-lines", "csv"]
+
+
+class TestCoded:
+    """``Coded`` columns render as the row-by-row reference does."""
+
+    @pytest.mark.parametrize("layout", ["first", "last", "alone"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_position_in_the_row(self, layout, fmt):
+        n = 50
+        coded = Coded(_codes(n, 3, 1), ("110", -1, 0.25))
+        plain = {"i": np.arange(n), "x": np.linspace(-1, 1, n)}
+        columns = {"first": {"c": coded, **plain}, "last": {**plain, "c": coded},
+                   "alone": {"c": coded}}[layout]
+        report = _coded_report(columns)
+        assert render_report(report, fmt) == reference_render(report, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_columns_on_different_codes_do_not_fuse(self, fmt):
+        n = CHUNK_ROWS + 5
+        a, b = _codes(n, 4, 1), _codes(n, 4, 2)
+        assert not np.array_equal(a, b)
+        table = ("w0", "w1", "w2", "w3")
+        report = _coded_report({"a": Coded(a, table), "b": Coded(b, table)})
+        assert_same_text(render_report(report, fmt), reference_render(report, fmt))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_shared_codes_around_a_plain_column(self, fmt):
+        n = 40
+        codes = _codes(n, 8, 3)
+        report = _coded_report({"word": Coded(codes, tuple(format(w, "03b") for w in range(8))),
+                                "shot": np.arange(n),
+                                "product": Coded(codes, (1, -1) * 4)})
+        assert render_report(report, fmt) == reference_render(report, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_entries_that_need_csv_quoting(self, fmt):
+        codes = np.array([0, 1, 2, 3, 1, 0], dtype=np.uint8)
+        report = _coded_report({"t": Coded(codes, ("a,b", 'q"t', "x\ny", "plain")),
+                                "u": Coded(codes, ([1, 2.5], 1j, None, True))})
+        text = render_report(report, fmt)
+        assert text == reference_render(report, fmt)
+        if fmt == "csv":
+            cells = list(csv.reader(io.StringIO("".join(text.splitlines(keepends=True)[2:-1]))))
+            assert [row[0] for row in cells] == ["a,b", 'q"t', "x\ny", "plain", 'q"t', "a,b"]
+
+    def test_row_table_equals_the_plain_column(self):
+        codes = np.array([2, 0, 1, 2], dtype=np.uint8)
+        coded = RowTable({"w": Coded(codes, ("a", "b", "c")), "p": Coded(codes, (1, -1, 1))})
+        assert coded == RowTable({"w": np.array(["c", "a", "b", "c"]), "p": np.array([1, 1, -1, 1])})
+        assert coded == RowTable({"w": ["c", "a", "b", "c"], "p": [1, 1, -1, 1]})
+        assert coded != RowTable({"w": ["c", "a", "b", "b"], "p": [1, 1, -1, 1]})
+        assert len(coded) == 4
+        rows = list(coded)
+        assert rows[0] == {"w": "c", "p": 1} and type(rows[0]["p"]) is int
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("used", [True, False])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_non_finite_entry_is_refused_used_or_not(self, bad, used, fmt):
+        codes = np.array([0, 1, 0] if used else [0, 0, 0], dtype=np.uint8)
+        report = _coded_report({"v": Coded(codes, (0.5, bad))})
+        with pytest.raises(ValueError):
+            render_report(report, fmt)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        n=st.integers(CHUNK_ROWS - 2, CHUNK_ROWS + 2),
+        tables=st.lists(st.lists(st.one_of(st.integers(), st.booleans(), st.text(max_size=4),
+                                           st.floats(allow_nan=False, allow_infinity=False)),
+                                 min_size=1, max_size=8), min_size=3, max_size=3),
+        order=st.permutations(["a", "b", "c", "i"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_tables_match_row_rendering(self, n, tables, order, seed):
+        # a and b share one codes array, c has its own; i is a plain column.
+        shared = _codes(n, min(map(len, tables[:2])), seed)
+        columns = {"a": Coded(shared, tuple(tables[0])), "b": Coded(shared, tuple(tables[1])),
+                   "c": Coded(_codes(n, len(tables[2]), seed + 1), tuple(tables[2])),
+                   "i": np.arange(n) - n // 2}
+        report = _coded_report({name: columns[name] for name in order})
+        for fmt in FORMATS:
+            assert_same_text(render_report(report, fmt), reference_render(report, fmt))
+
+
 class TestChunks:
     @pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
     @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
-    def test_file_equals_rendered_text(self, n, fmt, tmp_path):
-        report = run_local_mode(GENERIC, "X", n, seed=n, mixture=True)
+    @pytest.mark.parametrize("basis", ["X", "Z"])
+    @pytest.mark.parametrize("mixture", [False, True])
+    def test_file_equals_rendered_text(self, n, fmt, basis, mixture, tmp_path):
+        report = run_local_mode(GENERIC, basis, n, seed=n, mixture=mixture)
         path = tmp_path / "r"
         emit_report(report, path, fmt)
         text = render_report(report, fmt)
         assert path.read_bytes() == text.encode("utf-8")
-        assert text == reference_render(report, fmt)
+        assert_same_text(text, reference_render(report, fmt))
         assert text.count("\n") == n + (2 if fmt == "json-lines" else 3)
+
+
+# Traced peak of a local run plus its streamed report, in bytes per shot.
+# With the word and product as coded columns it reads 16-21 B at 2**18
+# shots; gathered '<U3' word labels, sorted by np.unique to render them,
+# took about 70 B.
+LOCAL_PEAK_BYTES_PER_SHOT = 32
+
+
+class TestMemory:
+    def test_local_run_peak_per_shot(self, tmp_path):
+        # The mixture draws a member per shot first: the larger sampling peak.
+        shots = 2**18
+        tracemalloc.start()
+        try:
+            report = run_local_mode(GENERIC, "X", shots, seed=5, mixture=True)
+            emit_report(report, tmp_path / "r.jsonl", "json-lines")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / shots < LOCAL_PEAK_BYTES_PER_SHOT
 
 
 class TestNonFinite:
