@@ -32,7 +32,7 @@ import numpy as np
 from .experiment import SpinPrep
 from .observables import PAULI, PauliString, pauli_matrix
 from .reports import RowTable
-from .sampling import random_phase_unitary, spawn, stream
+from .sampling import random_phase_unitary, spawn
 from .tensor import (
     DensityMatrix,
     DimensionCapError,
@@ -65,6 +65,8 @@ SWEEP_CHUNK_ENTRIES = 2**14
 
 ENV_MODELS = ("haar", "phases", "identity")
 WEIGHT_MODELS = ("uniform", "geometric")
+# Geometric microstate weights: p_mu proportional to GEOMETRIC_RATIO ** mu.
+GEOMETRIC_RATIO = 0.5
 MODES = ("transmitting", "absorbing")
 
 
@@ -96,18 +98,16 @@ class DetectorModel:
 
     @classmethod
     def sample(cls, d: int, seed, env_model: str = "haar",
-               weights_model: str = "uniform", mode: str = "transmitting",
-               geometric_ratio: float = 0.5) -> "DetectorModel":
-        """Seeded model with the chosen environment and weight classes."""
+               weights_model: str = "uniform", mode: str = "transmitting") -> "DetectorModel":
+        """Seeded model of the chosen classes; ``seed`` as in ``sampling.stream``."""
         _check_sampling(env_model, weights_model, [d])
-        rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
         if env_model == "haar":
-            v = haar_unitary(d, rng)
+            v = haar_unitary(d, seed)
         elif env_model == "phases":
-            v = random_phase_unitary(d, rng)
+            v = random_phase_unitary(d, seed)
         else:
             v = np.eye(d, dtype=complex)
-        return cls(d=d, weights=_weights(d, weights_model, geometric_ratio), V=v, mode=mode)
+        return cls(d=d, weights=_weights(d, weights_model), V=v, mode=mode)
 
 
 def _require_unitary(v: np.ndarray) -> None:
@@ -134,11 +134,11 @@ def _check_sampling(env_model: str, weights_model: str, d_values) -> None:
             )
 
 
-def _weights(d: int, weights_model: str, geometric_ratio: float = 0.5) -> np.ndarray:
-    """Microstate weights p_mu: uniform, or geometric in mu and normalized."""
+def _weights(d: int, weights_model: str) -> np.ndarray:
+    """Microstate weights p_mu: uniform, or GEOMETRIC_RATIO ** mu normalized."""
     if weights_model == "uniform":
         return np.full(d, 1.0 / d)
-    w = geometric_ratio ** np.arange(d)
+    w = GEOMETRIC_RATIO ** np.arange(d)
     return w / w.sum()
 
 
@@ -352,9 +352,8 @@ def absorbing_variant(prep: SpinPrep, det_up: DetectorModel,
     return report
 
 
-def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
-                      env_model: str = "haar", weights_model: str = "uniform",
-                      mode: str = "transmitting") -> tuple[RowTable, dict]:
+def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_model: str = "haar",
+                      weights_model: str = "uniform") -> tuple[RowTable, dict]:
     """Monte Carlo sweep of coherence-factor suppression over d.
 
     For each (d, trial) a fresh detector pair is drawn from child streams
@@ -367,7 +366,8 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
     trial: ``d``, ``trial``, |f|^2 for both detectors and the off-diagonal
     magnitude of the reduced matrix.
 
-    The d values must be distinct.  The summary has one entry per d with:
+    ``trials`` and each d must be an integer, not a bool, and the d values
+    must be distinct.  The summary has one entry per d with:
 
     * ``mean_f_abs2``: the sample mean of the up detector's |f|^2;
     * ``expected_uniform_haar``: 1/d^2, the moment for uniform p and Haar V
@@ -379,13 +379,15 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int,
       ``z`` is 0 when the pooled mean is within 1e-12 of the expected
       value, as for ``identity`` or d = 1, where every sample is exact.
     """
+    d_values = list(d_values)
+    for value in [trials, *d_values]:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"trials and d values must be integers, got {value!r}")
     d_values = [int(d) for d in d_values]
     if len(set(d_values)) != len(d_values):
         raise ValueError(f"d values must be distinct, got {d_values}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
     _check_sampling(env_model, weights_model, d_values)
     draws = 2 * len(d_values) * trials
     if draws > SWEEP_DRAW_CAP:

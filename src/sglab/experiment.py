@@ -176,8 +176,8 @@ def _sample_words(prob_sets, weights, shots: int, rng: np.random.Generator) -> n
 
 
 def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
-                   mixture: bool = False, phase: float = 0.0) -> RunReport:
-    """Local factor-by-factor readout of the t4 state.
+                   mixture: bool = False) -> RunReport:
+    """Local factor-by-factor readout of the t4 state (recombination phase 0).
 
     Each shot measures the three slots in the chosen basis (X readout is a
     Hadamard on every slot followed by a Z readout).  The three slot
@@ -202,7 +202,7 @@ def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
         states = [s for _, s in members.members]
         weights = members.weights
     else:
-        states = [premeasurement_state(prep, phase=phase)]
+        states = [premeasurement_state(prep)]
         weights = np.array([1.0])
     if basis == "X":
         h3 = np.kron(np.kron(HADAMARD, HADAMARD), HADAMARD)
@@ -281,17 +281,17 @@ def _joint_step(state: PureState, name: str, rng: np.random.Generator) -> tuple[
     raise ValueError(f"unknown joint observable {name!r} (choose from {JOINT_OBSERVABLES})")
 
 
-def run_joint_mode(prep: SpinPrep, observables, seed: int, phase: float = 0.0) -> RunReport:
+def run_joint_mode(prep: SpinPrep, observables, seed: int) -> RunReport:
     """Sequence of nondestructive joint readouts on one state instance.
 
     Repeated observables are allowed and reproduce their readout.  The
     report carries each readout and the fidelity of the surviving
-    (s, a_up, a_dn) state with the initial t4 state.
+    (s, a_up, a_dn) state with the initial t4 state (recombination phase 0).
     """
     observables = list(observables)
     if not observables:
         raise ValueError("need at least one observable")
-    initial = premeasurement_state(prep, phase=phase)
+    initial = premeasurement_state(prep)
     state = initial
     rng = stream(seed)
     rows = []

@@ -10,8 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def stream(seed: int) -> np.random.Generator:
-    """Root generator for a 64-bit seed."""
+def stream(seed) -> np.random.Generator:
+    """Root generator for a 64-bit seed; a Generator is returned unchanged."""
+    if isinstance(seed, np.random.Generator):
+        return seed
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
@@ -30,6 +32,5 @@ def spawn(root: np.random.SeedSequence, n: int) -> list[np.random.Generator]:
 
 
 def random_phase_unitary(d: int, seed) -> np.ndarray:
-    """Diagonal unitary of independent uniform phases."""
-    rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
-    return np.diag(np.exp(2j * np.pi * rng.random(d)))
+    """Diagonal unitary of independent uniform phases; ``seed`` as in ``stream``."""
+    return np.diag(np.exp(2j * np.pi * stream(seed).random(d)))

@@ -18,11 +18,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .sampling import stream
+
 # Registers above this total dimension are refused: the dense backend is
 # meant for small exact computations, not large-scale simulation.
 DIM_CAP = 2**16
 
 NORM_TOL = 1e-12
+# factor_out refuses a slot whose second Schmidt value exceeds this.
+SCHMIDT_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
@@ -285,13 +289,12 @@ def _slot_first(state: PureState, label: str) -> np.ndarray:
     return state.amplitudes.reshape(reg.dims).transpose(order).reshape(reg.dims[axis], -1)
 
 
-def apply_operator(state: PureState, op: np.ndarray, targets,
-                   renormalize: bool = False) -> PureState:
+def apply_operator(state: PureState, op: np.ndarray, targets) -> PureState:
     """Apply a matrix to the named target slots (identity elsewhere).
 
-    ``op`` need not be unitary; projectors are allowed.  The result is
-    renormalized only when ``renormalize=True``; otherwise the output may
-    carry a norm != 1 and is marked unnormalized when it does.
+    ``op`` need not be unitary; projectors are allowed.  The output may
+    carry a norm != 1 and is marked unnormalized when it does; rescale it
+    with ``PureState.normalize()``.
 
     The product is ``op @ matrix`` on the targets-first matrix of
     ``_plan``.  Where the ``np.moveaxis`` form made a strided view instead
@@ -311,11 +314,6 @@ def apply_operator(state: PureState, op: np.ndarray, targets,
         )
     plan = _plan(reg.dims, axes)
     out = (op @ state.amplitudes[plan.gather].reshape(d_t, -1)).reshape(-1)[plan.scatter]
-    if renormalize:
-        n = float(np.linalg.norm(out))
-        if n < 1e-14:
-            raise ValueError("operator annihilated the state; cannot renormalize")
-        return PureState(reg, out / n)
     return PureState(reg, out, normalized=False)
 
 
@@ -358,16 +356,16 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(reg.subregister(keep), reduced.reshape(d_keep, d_keep))
 
 
-def factor_out(state: PureState, label: str, tol: float = 1e-10) -> tuple[PureState, PureState]:
+def factor_out(state: PureState, label: str) -> tuple[PureState, PureState]:
     """Split off a disentangled slot, returning (slot_state, remainder).
 
-    Raises if the slot is entangled with the rest beyond ``tol`` (second
-    singular value of the bipartite amplitude matrix).
+    Raises if the slot is entangled with the rest beyond ``SCHMIDT_TOL``
+    (second singular value of the bipartite amplitude matrix).
     """
     reg = state.register
     mat = _slot_first(state, label)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    if len(s) > 1 and s[1] > tol:
+    if len(s) > 1 and s[1] > SCHMIDT_TOL:
         raise ValueError(f"slot {label!r} is entangled (Schmidt value {s[1]:.3e})")
     slot_amps = u[:, 0] * s[0]
     rest_amps = u[:, 0].conj() @ mat
@@ -406,9 +404,6 @@ def haar_unitaries(d: int, rngs) -> np.ndarray:
 def haar_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed d x d unitary: the one-matrix case of ``haar_unitaries``.
 
-    ``seed`` may be an integer or a numpy Generator.
+    ``seed`` may be an integer or a numpy Generator (see ``sampling.stream``).
     """
-    from .sampling import stream  # local import to avoid a cycle
-
-    rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
-    return haar_unitaries(d, [rng])[0]
+    return haar_unitaries(d, [stream(seed)])[0]

@@ -141,6 +141,14 @@ class TestProjectiveMeasurement:
         with pytest.raises(ValueError):
             measure_projective(ghz(), PauliString.from_word("III", REG3), stream(0))
 
+    @pytest.mark.parametrize("letters, error, match", [
+        ({"q": "Z"}, RegisterError, "unknown slot label 'q'"),
+        ({"q": "I"}, ValueError, "identically I"),  # checked before the labels
+    ])
+    def test_bad_labels_refused_before_sampling(self, letters, error, match):
+        with pytest.raises(error, match=match):
+            measure_projective(ghz(), PauliString(letters), stream(0))
+
     def test_collapse_to_projected_state(self):
         rng = stream(2)
         out = measure_projective(ghz(), PauliString.from_word("ZII", REG3), rng)

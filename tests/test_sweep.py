@@ -167,14 +167,24 @@ class TestFailBeforeDrawing:
         ({"d_values": [4, 0]}, ValueError),
         ({"d_values": [4], "env_model": "thermal"}, ValueError),
         ({"d_values": [4], "weights_model": "zipf"}, ValueError),
-        ({"d_values": [4], "mode": "bouncing"}, ValueError),
         ({"d_values": [2, 3, 2]}, ValueError),
+        ({"d_values": [2.7]}, ValueError),
+        ({"d_values": [4, np.float64(3.0)]}, ValueError),
+        ({"d_values": [True]}, ValueError),
+        ({"d_values": [4, np.bool_(True)]}, ValueError),
+        ({"d_values": [4], "trials": 2.5}, ValueError),
+        ({"d_values": [4], "trials": True}, ValueError),
         ({"d_values": [2, 4], "trials": SWEEP_DRAW_CAP // 4 + 1}, DimensionCapError),
     ])
     def test_refused_before_any_stream_is_split(self, kwargs, error, no_spawn):
         kwargs = {"trials": 3, **kwargs}
         with pytest.raises(error):
             sweep_suppression(GENERIC, seed=0, **kwargs)
+
+    def test_numpy_integers_are_accepted(self):
+        rows, summary = sweep_suppression(GENERIC, np.array([3, 2]), np.int64(2), seed=5)
+        assert (rows, summary) == sweep_suppression(GENERIC, [3, 2], 2, seed=5)
+        assert list(summary) == ["3", "2"]
 
     def test_draw_cap_is_inclusive(self, monkeypatch):
         class Reached(Exception):

@@ -161,7 +161,7 @@ class TestApplyOperator:
         projected = apply_operator(plus, p1, ["a"])
         assert not projected.normalized
         assert projected.norm() == pytest.approx(1 / np.sqrt(2))
-        renorm = apply_operator(plus, p1, ["a"], renormalize=True)
+        renorm = apply_operator(plus, p1, ["a"]).normalize()
         assert renorm.norm() == pytest.approx(1.0)
 
     def test_shape_mismatch(self):
@@ -221,6 +221,8 @@ class TestContractionPlan:
         ref = moveaxis_apply(state.amplitudes, dims, op, axes)
         assert np.array_equal(out.amplitudes, ref)
         assert out.amplitudes.tobytes() == ref.tobytes()
+        unit = out.amplitudes / np.linalg.norm(out.amplitudes)
+        assert out.normalize().amplitudes.tobytes() == unit.tobytes()
 
     @given(DIMS.flatmap(lambda dims: st.tuples(st.just(dims), st.integers(0, len(dims) - 1))),
            st.integers(0, 2**31 - 1))
@@ -265,7 +267,7 @@ class TestGatesThroughThePlan:
     def test_nan_operator_refused_on_renormalize(self):
         state = basis_state(qubits("a", "b"), "00")
         with pytest.raises(ValueError, match="norm"), np.errstate(invalid="ignore"):
-            apply_operator(state, np.full((2, 2), np.nan), ["b"], renormalize=True)
+            apply_operator(state, np.full((2, 2), np.nan), ["b"]).normalize()
 
     @pytest.mark.parametrize("op, targets", [
         (np.eye(4), ["q0"]),         # wrong shape
@@ -379,6 +381,15 @@ class TestFactorOut:
     def test_entangled_slot_rejected(self):
         with pytest.raises(ValueError):
             factor_out(ghz_state(), "s")
+
+    @pytest.mark.parametrize("schmidt, refused", [(1e-9, True), (1e-11, False)])
+    def test_schmidt_tolerance(self, schmidt, refused):
+        state = PureState(qubits("a", "b"), [np.sqrt(1 - schmidt**2), 0, 0, schmidt])
+        if refused:
+            with pytest.raises(ValueError, match="entangled"):
+                factor_out(state, "a")
+        else:
+            factor_out(state, "a")
 
     def test_roundtrip(self):
         rng = stream(37)
