@@ -1,25 +1,34 @@
-"""Golden report fixtures: every pipeline in both formats, byte for byte.
+"""Golden report fixtures and report digests: same argv, same bytes.
 
-Each case runs the CLI with a fixed seed and a fixed relative ``--out``
-(the config echo records that path) and compares the file with
-``tests/golden/<out>``.  A change that alters report bytes on purpose
-regenerates the fixtures with
+Each golden case runs the CLI with a fixed seed and a fixed relative
+``--out`` (the config echo records that path) and compares the file with
+``tests/golden/<out>``.  The digest grid does the same for a wider set of
+argv and compares the SHA-256 of each report with ``tests/golden/digests.json``,
+which also records the numpy version and BLAS name it was made under:
+haar reports depend on LAPACK's QR bits, so a digest can move with either.
+
+A change that alters report bytes on purpose regenerates the fixtures and
+the digests with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in its change log.
+which prints each argv whose digest moved, and says why in its change log.
 """
 import contextlib
+import hashlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sglab.cli import main
 
 GOLDEN = Path(__file__).resolve().with_name("golden")
+DIGESTS = GOLDEN / "digests.json"
 
 CASES = {
     "local": ["local", "--shots", "40", "--basis", "X", "--alpha-re", "0.6",
@@ -41,13 +50,59 @@ FORMATS = {"json-lines": "jsonl", "csv": "csv"}
 
 FIXTURES = [(case, fmt, f"{case}.{ext}") for case in CASES for fmt, ext in FORMATS.items()]
 
+UNBALANCED = ["--alpha-re", "0.6", "--beta-re", "0", "--beta-im", "0.8"]
+# Local runs straddle the report's 16384-row chunk bound and span several
+# chunks; d = 8 is the largest transmitting d with full values and 11 the
+# largest absorbing one, and d = 9 has none.
+_GRID_RUNS = [
+    ["local", "--basis", basis, *mixture, "--shots", str(shots), *UNBALANCED, "--seed", "31"]
+    for basis in ("X", "Z") for mixture in ([], ["--mixture"])
+    for shots in (1, 16383, 16384, 16385, 70001)
+] + [
+    ["joint", "--observables", "IZZ,XXX,ZZI,ZIZ,XXX", *UNBALANCED, "--seed", "32"],
+    ["condition", "--alpha-re", "0.8", "--beta-re", "0.6", "--seed", "33"],
+    ["ordinary", "--alpha-re", "0.6", "--beta-re", "0.8", "--seed", "34"],
+    ["sweep", "--d", "1,2,5", "--trials", "40", *UNBALANCED, "--seed", "35"],
+    ["sweep", "--d", "3,7", "--trials", "25", "--env-model", "phases", "--weights", "geometric",
+     "--seed", "36"],
+    ["blindness", "--d", "8", *UNBALANCED, "--seed", "37"],
+    ["blindness", "--d", "9", "--env-model", "phases", "--seed", "38"],
+    ["absorbing", "--d", "11", "--weights", "geometric", *UNBALANCED, "--seed", "39"],
+]
+# The digest grid: each run in both formats, keyed by its argv.
+DIGEST_GRID = {
+    " ".join(argv): argv
+    for run in _GRID_RUNS for fmt, ext in FORMATS.items()
+    for argv in [[*run, "--format", fmt, "--out", f"report.{ext}"]]
+}
+
+
+def environment() -> dict:
+    """The numpy version and BLAS name that report bits can depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError, AttributeError):  # older numpy: no dict mode
+        blas = {}
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip()}
+
+
+def run_report(argv: list[str]) -> bytes:
+    """Run one CLI argv in the current directory and return the report bytes."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", *argv])
+    assert code == 0, f"{' '.join(argv)} exited {code}"
+    return Path(argv[argv.index("--out") + 1]).read_bytes()
+
 
 def render(case: str, fmt: str, name: str) -> bytes:
-    """Run one case in the current directory and return the report bytes."""
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["run", *CASES[case], "--format", fmt, "--out", name])
-    assert code == 0, f"{case} {fmt} exited {code}"
-    return Path(name).read_bytes()
+    return run_report([*CASES[case], "--format", fmt, "--out", name])
+
+
+def digests() -> dict[str, str]:
+    """SHA-256 of each digest-grid report, made in the current directory."""
+    return {key: hashlib.sha256(run_report(argv)).hexdigest()
+            for key, argv in DIGEST_GRID.items()}
 
 
 @pytest.mark.parametrize("case,fmt,name", FIXTURES, ids=[name for _, _, name in FIXTURES])
@@ -56,9 +111,27 @@ def test_report_matches_golden_fixture(case, fmt, name, tmp_path, monkeypatch):
     assert render(case, fmt, name) == (GOLDEN / name).read_bytes()
 
 
+def test_report_digests_match(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    recorded = json.loads(DIGESTS.read_text())
+    assert list(recorded["digests"]) == list(DIGEST_GRID)
+    got = digests()
+    moved = [key for key, digest in recorded["digests"].items() if got[key] != digest]
+    assert not moved, (f"{len(moved)} report digests moved; recorded under "
+                       f"{recorded['environment']}, running under {environment()}: {moved}")
+
+
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
     os.chdir(GOLDEN)
     for case, fmt, name in FIXTURES:
         render(case, fmt, name)
         print(GOLDEN / name, file=sys.stderr)
+    old = json.loads(DIGESTS.read_text())["digests"] if DIGESTS.exists() else {}
+    new = digests()
+    for name in set(FORMATS.values()):
+        os.remove(f"report.{name}")
+    DIGESTS.write_text(json.dumps({"environment": environment(), "digests": new}, indent=1) + "\n")
+    for key, digest in new.items():
+        if old.get(key) != digest:
+            print(f"digest moved: {key}", file=sys.stderr)
+    print(DIGESTS, file=sys.stderr)
