@@ -32,7 +32,7 @@ import numpy as np
 from .experiment import SpinPrep
 from .observables import PAULI, PauliString, pauli_matrix
 from .reports import RowTable
-from .sampling import random_phase_unitary, spawn
+from .sampling import check_int, random_phase_unitary, seed_sequence, spawn
 from .tensor import (
     DensityMatrix,
     DimensionCapError,
@@ -80,8 +80,7 @@ class DetectorModel:
     mode: str = "transmitting"
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("environment dimension must be >= 1")
+        check_int("d", self.d)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         w = np.asarray(self.weights, dtype=float).reshape(-1)
@@ -100,7 +99,7 @@ class DetectorModel:
     def sample(cls, d: int, seed, env_model: str = "haar",
                weights_model: str = "uniform", mode: str = "transmitting") -> "DetectorModel":
         """Seeded model of the chosen classes; ``seed`` as in ``sampling.stream``."""
-        _check_sampling(env_model, weights_model, [d])
+        _under_cap(check_sampling(env_model, weights_model, [d]))
         if env_model == "haar":
             v = haar_unitary(d, seed)
         elif env_model == "phases":
@@ -119,19 +118,25 @@ def _require_unitary(v: np.ndarray) -> None:
         raise ValueError("V is not unitary within 1e-12")
 
 
-def _check_sampling(env_model: str, weights_model: str, d_values) -> None:
-    """Refuse unknown model names and environment dimensions outside [1, cap]."""
+def check_sampling(env_model: str, weights_model: str, d_values) -> list[int]:
+    """The environment dimensions as ints, if both model names are known and
+    ``d_values`` is a non-empty list of distinct integers >= 1."""
     if env_model not in ENV_MODELS:
-        raise ValueError(f"env_model must be one of {ENV_MODELS}")
+        raise ValueError(f"env_model must be one of {ENV_MODELS}, got {env_model!r}")
     if weights_model not in WEIGHT_MODELS:
-        raise ValueError(f"weights_model must be one of {WEIGHT_MODELS}")
-    for d in d_values:
-        if d < 1:
-            raise ValueError("environment dimension must be >= 1")
-        if d > ENV_DIM_CAP:
-            raise DimensionCapError(
-                f"environment dimension {d} exceeds dense sampling cap {ENV_DIM_CAP}"
-            )
+        raise ValueError(f"weights_model must be one of {WEIGHT_MODELS}, got {weights_model!r}")
+    d_values = [check_int("d", d) for d in d_values]
+    if not d_values or len(set(d_values)) != len(d_values):
+        raise ValueError(f"d must be a non-empty list of distinct integers, got {d_values}")
+    return d_values
+
+
+def _under_cap(d_values: list[int]) -> list[int]:
+    """``d_values``, unless one exceeds the dense sampling cap."""
+    if max(d_values) > ENV_DIM_CAP:
+        raise DimensionCapError(
+            f"environment dimension {max(d_values)} exceeds dense sampling cap {ENV_DIM_CAP}")
+    return d_values
 
 
 def _weights(d: int, weights_model: str) -> np.ndarray:
@@ -366,8 +371,8 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_mode
     trial: ``d``, ``trial``, |f|^2 for both detectors and the off-diagonal
     magnitude of the reduced matrix.
 
-    ``trials`` and each d must be an integer, not a bool, and the d values
-    must be distinct.  The summary has one entry per d with:
+    ``trials``, ``seed`` and each d must be integers, not bools, and the d
+    values distinct.  The summary has one entry per d with:
 
     * ``mean_f_abs2``: the sample mean of the up detector's |f|^2;
     * ``expected_uniform_haar``: 1/d^2, the moment for uniform p and Haar V
@@ -379,22 +384,14 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_mode
       ``z`` is 0 when the pooled mean is within 1e-12 of the expected
       value, as for ``identity`` or d = 1, where every sample is exact.
     """
-    d_values = list(d_values)
-    for value in [trials, *d_values]:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"trials and d values must be integers, got {value!r}")
-    d_values = [int(d) for d in d_values]
-    if len(set(d_values)) != len(d_values):
-        raise ValueError(f"d values must be distinct, got {d_values}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _check_sampling(env_model, weights_model, d_values)
+    trials = check_int("trials", trials)
+    d_values = _under_cap(check_sampling(env_model, weights_model, d_values))
+    root = seed_sequence(seed)
     draws = 2 * len(d_values) * trials
     if draws > SWEEP_DRAW_CAP:
         raise DimensionCapError(
             f"sweep of {draws} detector draws (2 x trials x d values) exceeds cap {SWEEP_DRAW_CAP}"
         )
-    root = np.random.SeedSequence(int(seed))
     f = np.empty(draws, dtype=complex)  # f[2k] up, f[2k + 1] down
     for i, d in enumerate(d_values):
         w = _weights(d, weights_model)

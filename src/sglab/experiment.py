@@ -27,7 +27,7 @@ from .observables import (
     pauli_expectation,
 )
 from .reports import Coded, RowTable, RunReport
-from .sampling import stream
+from .sampling import check_int, stream
 from .tensor import (
     DimensionCapError,
     EnsembleState,
@@ -70,8 +70,10 @@ class SpinPrep:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        if not abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) <= 1e-12:
-            raise ValueError("spin prep must satisfy |alpha|^2 + |beta|^2 = 1")
+        norm2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        if not abs(norm2 - 1.0) <= 1e-12:
+            got = repr(norm2) if np.isfinite(norm2) else "a non-finite value"
+            raise ValueError(f"prep amplitudes must satisfy |alpha|^2 + |beta|^2 = 1, got {got}")
 
     @classmethod
     def balanced(cls) -> "SpinPrep":
@@ -161,6 +163,21 @@ def condition_on_spin_x(prep: SpinPrep, outcome: int, phase: float = 0.0) -> Pur
     return conditional
 
 
+def check_basis(basis) -> None:
+    """Refuse a local readout basis other than Z or X."""
+    if basis not in ("Z", "X"):
+        raise ValueError(f"basis must be Z or X, got {basis!r}")
+
+
+def check_observables(observables) -> list:
+    """The joint words as a list; refuses any word outside ``JOINT_OBSERVABLES``."""
+    observables = list(observables)
+    unknown = [name for name in observables if name not in JOINT_OBSERVABLES]
+    if unknown:
+        raise ValueError(f"unknown joint observables {unknown} (choose from {JOINT_OBSERVABLES})")
+    return observables
+
+
 def _sample_words(prob_sets, weights, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Word indices (uint8) for each shot, mixing members by weight."""
     if len(prob_sets) == 1:
@@ -191,12 +208,11 @@ def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
     comes from the word counts alone (``np.bincount``), so no per-shot
     Python objects are made.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    shots = check_int("shots", shots)
     if shots > SHOTS_CAP:
         raise DimensionCapError(f"{shots} shots exceed cap {SHOTS_CAP}")
-    if basis not in ("Z", "X"):
-        raise ValueError("basis must be Z or X")
+    check_basis(basis)
+    rng = stream(seed)
     if mixture:
         members = branch_mixture(prep)
         states = [s for _, s in members.members]
@@ -211,7 +227,6 @@ def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
     for s in states:
         p = s.probabilities()
         prob_sets.append(p / p.sum())
-    rng = stream(seed)
     words = _sample_words(prob_sets, weights, shots, rng)
 
     counts = np.bincount(words, minlength=len(_WORDS))
@@ -265,20 +280,19 @@ def _joint_step(state: PureState, name: str, rng: np.random.Generator) -> tuple[
         readout, post = joint_circuit_izz(work, rng, controls=(partner, "c"))
         post = apply_operator(post, CNOT, ["s", "c"])
         return readout, _drop(post, ["b", "c"])
-    if name == "XXX":
-        work = _extend(state, ("c", "b"))
-        # X-basis copy of the spin onto c, then rotate c so X_c carries X_s.
-        work = apply_operator(work, HADAMARD, ["s"])
-        work = apply_operator(work, CNOT, ["s", "c"])
-        work = apply_operator(work, HADAMARD, ["s"])
-        work = apply_operator(work, HADAMARD, ["c"])
-        readout, post = joint_circuit_xxx(work, rng)
-        post = apply_operator(post, HADAMARD, ["c"])
-        post = apply_operator(post, HADAMARD, ["s"])
-        post = apply_operator(post, CNOT, ["s", "c"])
-        post = apply_operator(post, HADAMARD, ["s"])
-        return readout, _drop(post, ["b", "c"])
-    raise ValueError(f"unknown joint observable {name!r} (choose from {JOINT_OBSERVABLES})")
+    # XXX, the one word left: run_joint_mode admits only JOINT_OBSERVABLES.
+    work = _extend(state, ("c", "b"))
+    # X-basis copy of the spin onto c, then rotate c so X_c carries X_s.
+    work = apply_operator(work, HADAMARD, ["s"])
+    work = apply_operator(work, CNOT, ["s", "c"])
+    work = apply_operator(work, HADAMARD, ["s"])
+    work = apply_operator(work, HADAMARD, ["c"])
+    readout, post = joint_circuit_xxx(work, rng)
+    post = apply_operator(post, HADAMARD, ["c"])
+    post = apply_operator(post, HADAMARD, ["s"])
+    post = apply_operator(post, CNOT, ["s", "c"])
+    post = apply_operator(post, HADAMARD, ["s"])
+    return readout, _drop(post, ["b", "c"])
 
 
 def run_joint_mode(prep: SpinPrep, observables, seed: int) -> RunReport:
@@ -288,12 +302,12 @@ def run_joint_mode(prep: SpinPrep, observables, seed: int) -> RunReport:
     report carries each readout and the fidelity of the surviving
     (s, a_up, a_dn) state with the initial t4 state (recombination phase 0).
     """
-    observables = list(observables)
+    observables = check_observables(observables)
     if not observables:
         raise ValueError("need at least one observable")
+    rng = stream(seed)
     initial = premeasurement_state(prep)
     state = initial
-    rng = stream(seed)
     rows = []
     for i, name in enumerate(observables):
         readout, state = _joint_step(state, name, rng)

@@ -1,25 +1,37 @@
 """Seeded, splittable random streams.
 
-All randomness in the package flows from one explicit 64-bit seed through
-Philox (counter-based) generators.  Independent child streams are derived
-with SeedSequence spawning, so parallel shots and sweep points are
-reproducible bit-for-bit regardless of evaluation order.
+All randomness in the package flows from one explicit non-negative integer
+seed through Philox (counter-based) generators.  Independent child streams
+are derived with SeedSequence spawning, so parallel shots and sweep points
+are reproducible bit-for-bit regardless of evaluation order.
 """
 from __future__ import annotations
 
 import numpy as np
 
 
+def check_int(name: str, value, low: int = 1) -> int:
+    """``value`` as an int if it is an integer >= ``low``; numpy integers pass, bools not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """The root SeedSequence of a non-negative integer seed."""
+    return np.random.SeedSequence(check_int("seed", seed, 0))
+
+
 def stream(seed) -> np.random.Generator:
-    """Root generator for a 64-bit seed; a Generator is returned unchanged."""
+    """Root generator for a seed; a Generator is returned unchanged."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    return np.random.Generator(np.random.Philox(seed_sequence(seed)))
 
 
-def split(seed: int, n: int) -> list[np.random.Generator]:
+def split(seed, n: int) -> list[np.random.Generator]:
     """n independent child generators derived from one seed."""
-    return spawn(np.random.SeedSequence(int(seed)), n)
+    return spawn(seed_sequence(seed), n)
 
 
 def spawn(root: np.random.SeedSequence, n: int) -> list[np.random.Generator]:
@@ -28,7 +40,7 @@ def spawn(root: np.random.SeedSequence, n: int) -> list[np.random.Generator]:
     Each call continues the child numbering of ``root``, so generators
     taken chunk by chunk are those of one ``split`` of the same seed.
     """
-    return [np.random.Generator(np.random.Philox(c)) for c in root.spawn(int(n))]
+    return [np.random.Generator(np.random.Philox(c)) for c in root.spawn(check_int("n", n))]
 
 
 def random_phase_unitary(d: int, seed) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sampling import stream
+from .sampling import check_int, stream
 
 # Registers above this total dimension are refused: the dense backend is
 # meant for small exact computations, not large-scale simulation.
@@ -54,13 +54,11 @@ class Register:
     dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        slots = tuple((str(l), int(d)) for l, d in self.slots)
+        slots = tuple((str(l), check_int("slot dimension", d)) for l, d in self.slots)
         labels = tuple(l for l, _ in slots)
         dims = tuple(d for _, d in slots)
         if len(set(labels)) != len(labels):
             raise RegisterError(f"duplicate slot labels in {list(labels)}")
-        if any(d < 1 for d in dims):
-            raise RegisterError("slot dimensions must be >= 1")
         dim = math.prod(dims)
         if dim > DIM_CAP:
             raise DimensionCapError(
@@ -383,8 +381,7 @@ def haar_unitaries(d: int, rngs) -> np.ndarray:
     (Ginibre) matrix, real parts first; one batched QR orthonormalizes the
     stack, then the R-diagonal phase correction makes each Q Haar.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_int("d", d)
     z = np.empty((len(rngs), d, d), dtype=complex)
     buf = np.empty((d, d))
     # Same bits as (a + 1j * b) / sqrt(2): numpy divides a complex array by

@@ -1,8 +1,14 @@
-"""Every validation gate refuses NaN.
+"""Every validation gate refuses NaN, and every malformed value is refused
+by its library entry and by the CLI before any work.
 
 Each gate compares a deviation with its tolerance as ``not dev <= tol``,
 which is True for NaN, where ``dev > tol`` would let NaN through.
 """
+import contextlib
+import io
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -10,16 +16,28 @@ from sglab import (
     CoherenceFactor,
     DensityMatrix,
     DetectorModel,
+    DimensionCapError,
     EnsembleState,
     PureState,
     SpinPrep,
     basis_state,
+    cli,
+    decoherence,
+    experiment,
     qubits,
+    run_joint_mode,
+    run_local_mode,
+    sampling,
+    sweep_suppression,
+    tensor,
 )
-from sglab.cli import ConfigError, ExperimentConfig
+from sglab.cli import PIPELINES, ConfigError, ExperimentConfig, main
+from sglab.decoherence import ENV_DIM_CAP
+from sglab.sampling import split
 
 NAN = float("nan")
 ONE = qubits("q")
+PREP = SpinPrep(0.6, 0.8j)
 
 
 def _ensemble():
@@ -52,3 +70,132 @@ def test_gate_refuses_nan(gate):
     build, error, message = GATES[gate]
     with pytest.raises(error, match=message):
         build()
+
+
+# One malformed value per row: its library call, the error and message that
+# call raises, and a CLI argv carrying the same value (a dict stands for a
+# --config file holding it; None where the CLI has no such value) with its
+# exit code.  The CLI passes the library's message through.
+BAD_VALUES = {
+    "joint word after two good ones": (
+        lambda: run_joint_mode(PREP, ["IZZ", "ZZI", "bogus"], 1), ValueError,
+        "unknown joint observables ['bogus']", ["joint", "--observables", "IZZ,ZZI,bogus"], 2),
+    "local seed 1.5": (
+        lambda: run_local_mode(PREP, "Z", 10, 1.5), ValueError,
+        "seed must be an integer >= 0, got 1.5", ["local", {"seed": 1.5}], 2),
+    "local seed True": (
+        lambda: run_local_mode(PREP, "X", 10, True), ValueError,
+        "seed must be an integer >= 0, got True", ["local", {"seed": True}], 2),
+    "joint seed -1": (
+        lambda: run_joint_mode(PREP, ["IZZ"], -1), ValueError,
+        "seed must be an integer >= 0, got -1", ["joint", "--seed", "-1"], 2),
+    "sweep seed 1.5": (
+        lambda: sweep_suppression(PREP, [2], 3, 1.5), ValueError,
+        "seed must be an integer >= 0, got 1.5", ["sweep", {"seed": 1.5}], 2),
+    "sweep seed True": (
+        lambda: sweep_suppression(PREP, [2], 3, True), ValueError,
+        "seed must be an integer >= 0, got True", ["sweep", {"seed": True}], 2),
+    "local shots 2.5": (
+        lambda: run_local_mode(PREP, "Z", 2.5, 1), ValueError,
+        "shots must be an integer >= 1, got 2.5", ["local", {"shots": 2.5}], 2),
+    "local basis Y": (
+        lambda: run_local_mode(PREP, "Y", 10, 1), ValueError,
+        "basis must be Z or X, got 'Y'", ["local", {"basis": "Y"}], 2),
+    "prep norm": (
+        lambda: SpinPrep(1.0, 1.0), ValueError,
+        "prep amplitudes must satisfy |alpha|^2 + |beta|^2 = 1, got 2.0",
+        ["ordinary", "--alpha-re", "1", "--beta-re", "1"], 2),
+    "DetectorModel d 2.0": (
+        lambda: DetectorModel(d=2.0, weights=[0.5, 0.5], V=np.eye(2)), ValueError,
+        "d must be an integer >= 1, got 2.0", ["blindness", {"d": [2.0]}], 2),
+    "sample d 2.7": (
+        lambda: DetectorModel.sample(2.7, 1), ValueError,
+        "d must be an integer >= 1, got 2.7", ["blindness", {"d": [2.7]}], 2),
+    "sample d True": (
+        lambda: DetectorModel.sample(True, 1), ValueError,
+        "d must be an integer >= 1, got True", ["absorbing", {"d": [True]}], 2),
+    "sample phases d 2.0": (
+        lambda: DetectorModel.sample(2.0, 1, "phases"), ValueError,
+        "d must be an integer >= 1, got 2.0",
+        ["blindness", {"d": [2.0], "env_model": "phases"}], 2),
+    "sweep empty d": (
+        lambda: sweep_suppression(PREP, [], 3, 1), ValueError,
+        "d must be a non-empty list of distinct integers, got []", ["sweep", "--d", ""], 2),
+    "sweep trials True": (
+        lambda: sweep_suppression(PREP, [2], True, 1), ValueError,
+        "trials must be an integer >= 1, got True", ["sweep", {"trials": True}], 2),
+    "sweep d over cap": (
+        lambda: sweep_suppression(PREP, [ENV_DIM_CAP + 1], 3, 1), DimensionCapError,
+        f"environment dimension {ENV_DIM_CAP + 1} exceeds", ["sweep", "--d", str(ENV_DIM_CAP + 1)],
+        3),
+    "split n 2.5": (
+        lambda: split(1, 2.5), ValueError, "n must be an integer >= 1, got 2.5", None, None),
+}
+
+# Where streams are made, and the joint step: a refusal reaches none of them.
+STREAM_MAKERS = [(experiment, "stream"), (tensor, "stream"), (sampling, "stream"),
+                 (decoherence, "spawn"), (cli, "split")]
+
+
+@pytest.fixture
+def reached(monkeypatch):
+    """Streams made and joint steps started while the test runs, by name."""
+    reached = []
+
+    def spy(original, name, on_call):
+        def wrapper(*args, **kwargs):
+            if on_call:
+                reached.append(name)
+            out = original(*args, **kwargs)
+            if not on_call:
+                reached.append(name)
+            return out
+        return wrapper
+
+    for module, name in [*STREAM_MAKERS, (experiment, "_joint_step")]:
+        label = f"{module.__name__}.{name}"
+        monkeypatch.setattr(module, name, spy(getattr(module, name), label, name == "_joint_step"))
+    return reached
+
+
+@pytest.mark.parametrize("case", BAD_VALUES)
+def test_library_refuses_before_any_stream(case, reached):
+    call, error, message, _, _ = BAD_VALUES[case]
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+    assert reached == []
+
+
+@pytest.mark.parametrize("case", [case for case, row in BAD_VALUES.items() if row[3]])
+def test_cli_refuses_before_any_stream(case, reached, tmp_path, capsys):
+    _, _, message, argv, code = BAD_VALUES[case]
+    config = tmp_path / "config.json"
+    args = []
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+            arg, args = str(config), args + ["--config"]
+        args.append(arg)
+    out = tmp_path / "report"
+    assert main(["run", *args, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert reached == [] and not out.exists()
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_negative_seed_exits_2_for_every_pipeline(pipeline, tmp_path, capsys):
+    out = tmp_path / "report"
+    assert main(["run", pipeline, "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ordinary", "--seed", str(2**65)],  # seeds above 2**64 stay accepted
+    ["local", "--observables", ",", "--shots", "5"],  # fields a pipeline ignores
+    ["local", "--d", "100000", "--shots", "5"],  # are not capped
+    ["condition", "--trials", str(10**9)],
+])
+def test_values_a_pipeline_ignores_or_that_fit_run(argv, tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", *argv, "--out", str(tmp_path / "report")]) == 0
