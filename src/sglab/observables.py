@@ -142,7 +142,7 @@ def _measure(state, obs: PauliString, rng: np.random.Generator) -> MeasurementOu
         eigenvalue = +1 if rng.random() < p_plus else -1
     probability = p_plus if eigenvalue == +1 else 1.0 - p_plus
     projected = (state.amplitudes + eigenvalue * applied.amplitudes) / 2.0
-    post = PureState(state.register, projected / np.linalg.norm(projected))
+    post = PureState(state.register, projected, normalized=False).normalize()
     return MeasurementOutcome(eigenvalue, probability, post)
 
 

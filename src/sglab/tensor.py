@@ -368,10 +368,8 @@ def factor_out(state: PureState, label: str) -> tuple[PureState, PureState]:
     slot_amps = u[:, 0] * s[0]
     rest_amps = u[:, 0].conj() @ mat
     rest_labels = [l for l in reg.labels if l != label]
-    slot_state = PureState(reg.subregister([label]), slot_amps / np.linalg.norm(slot_amps))
-    rest_state = PureState(reg.subregister(rest_labels),
-                           rest_amps / np.linalg.norm(rest_amps))
-    return slot_state, rest_state
+    return (PureState(reg.subregister([label]), slot_amps, normalized=False).normalize(),
+            PureState(reg.subregister(rest_labels), rest_amps, normalized=False).normalize())
 
 
 def haar_unitaries(d: int, rngs) -> np.ndarray:
