@@ -29,7 +29,7 @@ import numpy as np
 from . import decoherence, experiment
 from .observables import PauliString, pauli_expectation
 from .reports import RunReport, emit_report
-from .sampling import check_int, seed_sequence, split
+from .sampling import check_int, check_seed, split
 from .tensor import DimensionCapError, qubits, PureState
 
 FORMATS = ("json-lines", "csv")
@@ -74,9 +74,8 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, (int, float)) or abs(value) > 1:
                 raise ConfigError(f"prep amplitude {name} must be a number in [-1, 1]")
             setattr(self, name, float(value))
-        # The library's gates, for every field whatever the pipeline (a wrong
-        # JSON type may raise TypeError).  The caps stay in the entries, so a
-        # field the pipeline ignores is not refused for its size.
+        # The library's gates, for every field whatever the pipeline.  Its caps
+        # stay in the entries: a field a pipeline ignores is not refused for size.
         try:
             self.prep()
             experiment.check_basis(self.basis)
@@ -85,7 +84,7 @@ class ExperimentConfig:
             check_int("trials", self.trials)
             decoherence.check_sampling(self.env_model, self.weights, self.d)
             if self.seed is not None:
-                seed_sequence(self.seed)
+                check_seed(self.seed)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         if self.pipeline in SINGLE_D and len(self.d) != 1:
@@ -99,7 +98,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - {f.name for f in fields(cls)}
+        known = {f.name for f in fields(cls)}
+        unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         if "pipeline" not in data:
@@ -202,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--alpha-im", type=float, dest="alpha_im")
     run_p.add_argument("--beta-re", type=float, dest="beta_re")
     run_p.add_argument("--beta-im", type=float, dest="beta_im")
-    run_p.add_argument("--basis", choices=("Z", "X"))
+    run_p.add_argument("--basis", help="Z or X")
     run_p.add_argument("--observables", help="comma-separated, e.g. IZZ,ZZI,XXX")
     run_p.add_argument("--shots", type=int)
     run_p.add_argument("--d", help="comma-separated environment dimensions")

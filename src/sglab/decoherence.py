@@ -32,7 +32,7 @@ import numpy as np
 from .experiment import SpinPrep
 from .observables import PAULI, PauliString, pauli_matrix
 from .reports import RowTable
-from .sampling import check_int, random_phase_unitary, seed_sequence, spawn
+from .sampling import check_int, check_seed, random_phase_unitary, spawn
 from .tensor import (
     DensityMatrix,
     DimensionCapError,
@@ -315,6 +315,7 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel,
     X (x) I for readout-only.  They have the bits of dense register traces.
     """
     mode = _check_modes(det_up, det_dn)
+    seed = None if seed is None else check_seed(seed)
     f_up = coherence_factor(det_up).value
     f_dn = coherence_factor(det_dn).value
     ab = prep.alpha * np.conj(prep.beta)
@@ -340,7 +341,7 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel,
         report["demon_full"] = _trace_op(block, np.block([[zero, m.conj().T], [m, zero]]))
         report["readout_only_full"] = _trace_op(block, np.kron(PAULI["X"], np.eye(d_up * d_dn)))
     if seed is not None:
-        report["seed"] = int(seed)
+        report["seed"] = seed
     return report
 
 
@@ -386,7 +387,7 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_mode
     """
     trials = check_int("trials", trials)
     d_values = _under_cap(check_sampling(env_model, weights_model, d_values))
-    root = seed_sequence(seed)
+    root = np.random.SeedSequence(check_seed(seed))
     draws = 2 * len(d_values) * trials
     if draws > SWEEP_DRAW_CAP:
         raise DimensionCapError(

@@ -208,8 +208,7 @@ def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
     comes from the word counts alone (``np.bincount``), so no per-shot
     Python objects are made.
     """
-    shots = check_int("shots", shots)
-    if shots > SHOTS_CAP:
+    if check_int("shots", shots) > SHOTS_CAP:
         raise DimensionCapError(f"{shots} shots exceed cap {SHOTS_CAP}")
     check_basis(basis)
     rng = stream(seed)

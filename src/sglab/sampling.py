@@ -17,21 +17,21 @@ def check_int(name: str, value, low: int = 1) -> int:
     return int(value)
 
 
-def seed_sequence(seed) -> np.random.SeedSequence:
-    """The root SeedSequence of a non-negative integer seed."""
-    return np.random.SeedSequence(check_int("seed", seed, 0))
+def check_seed(seed) -> int:
+    """The seed as an int, if it is a non-negative integer."""
+    return check_int("seed", seed, 0)
 
 
 def stream(seed) -> np.random.Generator:
     """Root generator for a seed; a Generator is returned unchanged."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(seed_sequence(seed)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(check_seed(seed))))
 
 
 def split(seed, n: int) -> list[np.random.Generator]:
     """n independent child generators derived from one seed."""
-    return spawn(seed_sequence(seed), n)
+    return spawn(np.random.SeedSequence(check_seed(seed)), n)
 
 
 def spawn(root: np.random.SeedSequence, n: int) -> list[np.random.Generator]:

@@ -21,6 +21,7 @@ from sglab import (
     PureState,
     SpinPrep,
     basis_state,
+    blindness_contrast,
     cli,
     decoherence,
     experiment,
@@ -38,6 +39,7 @@ from sglab.sampling import split
 NAN = float("nan")
 ONE = qubits("q")
 PREP = SpinPrep(0.6, 0.8j)
+IDLE = DetectorModel(2, [0.5, 0.5], np.eye(2))
 
 
 def _ensemble():
@@ -100,7 +102,7 @@ BAD_VALUES = {
         "shots must be an integer >= 1, got 2.5", ["local", {"shots": 2.5}], 2),
     "local basis Y": (
         lambda: run_local_mode(PREP, "Y", 10, 1), ValueError,
-        "basis must be Z or X, got 'Y'", ["local", {"basis": "Y"}], 2),
+        "basis must be Z or X, got 'Y'", ["local", "--basis", "Y"], 2),
     "prep norm": (
         lambda: SpinPrep(1.0, 1.0), ValueError,
         "prep amplitudes must satisfy |alpha|^2 + |beta|^2 = 1, got 2.0",
@@ -128,6 +130,9 @@ BAD_VALUES = {
         lambda: sweep_suppression(PREP, [ENV_DIM_CAP + 1], 3, 1), DimensionCapError,
         f"environment dimension {ENV_DIM_CAP + 1} exceeds", ["sweep", "--d", str(ENV_DIM_CAP + 1)],
         3),
+    "blindness_contrast seed 1.5": (
+        lambda: blindness_contrast(PREP, IDLE, IDLE, seed=1.5), ValueError,
+        "seed must be an integer >= 0, got 1.5", None, None),
     "split n 2.5": (
         lambda: split(1, 2.5), ValueError, "n must be an integer >= 1, got 2.5", None, None),
 }
@@ -139,22 +144,23 @@ STREAM_MAKERS = [(experiment, "stream"), (tensor, "stream"), (sampling, "stream"
 
 @pytest.fixture
 def reached(monkeypatch):
-    """Streams made and joint steps started while the test runs, by name."""
+    """Names of the streams made and the joint steps started during the test."""
     reached = []
 
-    def spy(original, name, on_call):
-        def wrapper(*args, **kwargs):
-            if on_call:
-                reached.append(name)
-            out = original(*args, **kwargs)
-            if not on_call:
-                reached.append(name)
-            return out
-        return wrapper
+    def spy(module, name):
+        original = getattr(module, name)
 
-    for module, name in [*STREAM_MAKERS, (experiment, "_joint_step")]:
-        label = f"{module.__name__}.{name}"
-        monkeypatch.setattr(module, name, spy(getattr(module, name), label, name == "_joint_step"))
+        def made(*args, **kwargs):
+            out = original(*args, **kwargs)  # a refused seed raises here, making none
+            reached.append(f"{module.__name__}.{name}")
+            return out
+        monkeypatch.setattr(module, name, made)
+
+    for module, name in STREAM_MAKERS:
+        spy(module, name)
+    step = experiment._joint_step
+    monkeypatch.setattr(experiment, "_joint_step",
+                        lambda *args: reached.append("_joint_step") or step(*args))
     return reached
 
 
@@ -169,13 +175,14 @@ def test_library_refuses_before_any_stream(case, reached):
 @pytest.mark.parametrize("case", [case for case, row in BAD_VALUES.items() if row[3]])
 def test_cli_refuses_before_any_stream(case, reached, tmp_path, capsys):
     _, _, message, argv, code = BAD_VALUES[case]
-    config = tmp_path / "config.json"
     args = []
     for arg in argv:
         if isinstance(arg, dict):
+            config = tmp_path / "config.json"
             config.write_text(json.dumps(arg))
-            arg, args = str(config), args + ["--config"]
-        args.append(arg)
+            args += ["--config", str(config)]
+        else:
+            args.append(arg)
     out = tmp_path / "report"
     assert main(["run", *args, "--out", str(out)]) == code
     assert message in capsys.readouterr().err
@@ -190,12 +197,14 @@ def test_negative_seed_exits_2_for_every_pipeline(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+# Seeds above 2**64 stay accepted, and the caps apply only to the values a
+# pipeline uses.
 @pytest.mark.parametrize("argv", [
-    ["ordinary", "--seed", str(2**65)],  # seeds above 2**64 stay accepted
-    ["local", "--observables", ",", "--shots", "5"],  # fields a pipeline ignores
-    ["local", "--d", "100000", "--shots", "5"],  # are not capped
+    ["ordinary", "--seed", str(2**65)],
+    ["local", "--observables", ",", "--shots", "5"],
+    ["local", "--d", "100000", "--shots", "5"],
     ["condition", "--trials", str(10**9)],
 ])
-def test_values_a_pipeline_ignores_or_that_fit_run(argv, tmp_path):
+def test_large_seeds_and_unused_fields_run(argv, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["run", *argv, "--out", str(tmp_path / "report")]) == 0
