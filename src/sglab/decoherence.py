@@ -387,12 +387,12 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_mode
     """
     trials = check_int("trials", trials)
     d_values = _under_cap(check_sampling(env_model, weights_model, d_values))
-    root = np.random.SeedSequence(check_seed(seed))
     draws = 2 * len(d_values) * trials
     if draws > SWEEP_DRAW_CAP:
         raise DimensionCapError(
             f"sweep of {draws} detector draws (2 x trials x d values) exceeds cap {SWEEP_DRAW_CAP}"
         )
+    root = np.random.SeedSequence(check_seed(seed))
     f = np.empty(draws, dtype=complex)  # f[2k] up, f[2k + 1] down
     for i, d in enumerate(d_values):
         w = _weights(d, weights_model)

@@ -29,7 +29,7 @@ def stream(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(check_seed(seed))))
 
 
-def split(seed, n: int) -> list[np.random.Generator]:
+def split(seed: int, n: int) -> list[np.random.Generator]:
     """n independent child generators derived from one seed."""
     return spawn(np.random.SeedSequence(check_seed(seed)), n)
 

@@ -128,8 +128,8 @@ if __name__ == "__main__":
         print(GOLDEN / name, file=sys.stderr)
     old = json.loads(DIGESTS.read_text())["digests"] if DIGESTS.exists() else {}
     new = digests()
-    for name in set(FORMATS.values()):
-        os.remove(f"report.{name}")
+    for ext in FORMATS.values():
+        os.remove(f"report.{ext}")
     DIGESTS.write_text(json.dumps({"environment": environment(), "digests": new}, indent=1) + "\n")
     for key, digest in new.items():
         if old.get(key) != digest:
