@@ -12,7 +12,8 @@ the digests with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints each argv whose digest moved, and says why in its change log.
+which prints each argv whose digest moved or was added, and says why in its
+change log.
 """
 import contextlib
 import hashlib
@@ -51,6 +52,8 @@ FORMATS = {"json-lines": "jsonl", "csv": "csv"}
 FIXTURES = [(case, fmt, f"{case}.{ext}") for case in CASES for fmt, ext in FORMATS.items()]
 
 UNBALANCED = ["--alpha-re", "0.6", "--beta-re", "0", "--beta-im", "0.8"]
+ZERO_ALPHA = ["--alpha-re", "0", "--beta-re", "1"]
+ZERO_BETA = ["--alpha-re", "1", "--beta-re", "0"]
 # Local runs straddle the report's 16384-row chunk bound and span several
 # chunks; d = 8 is the largest transmitting d with full values and 11 the
 # largest absorbing one, and d = 9 has none.
@@ -68,6 +71,13 @@ _GRID_RUNS = [
     ["blindness", "--d", "8", *UNBALANCED, "--seed", "37"],
     ["blindness", "--d", "9", "--env-model", "phases", "--seed", "38"],
     ["absorbing", "--d", "11", "--weights", "geometric", *UNBALANCED, "--seed", "39"],
+] + [
+    # One branch empty: the *_full traces are exact zeros, where a changed
+    # sign of a zero in the demon operator would show as -0.
+    ["blindness", "--d", "8", "--env-model", env, *prep, "--seed", "40"]
+    for env in ("phases", "identity") for prep in (ZERO_ALPHA, ZERO_BETA)
+] + [
+    ["absorbing", "--d", "8", "--env-model", "phases", *ZERO_ALPHA, "--seed", "41"],
 ]
 # The digest grid: each run in both formats, keyed by its argv.
 DIGEST_GRID = {
@@ -132,6 +142,8 @@ if __name__ == "__main__":
         os.remove(f"report.{ext}")
     DIGESTS.write_text(json.dumps({"environment": environment(), "digests": new}, indent=1) + "\n")
     for key, digest in new.items():
-        if old.get(key) != digest:
+        if key not in old:
+            print(f"digest added: {key}", file=sys.stderr)
+        elif old[key] != digest:
             print(f"digest moved: {key}", file=sys.stderr)
     print(DIGESTS, file=sys.stderr)
