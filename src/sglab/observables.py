@@ -167,16 +167,12 @@ def measure_joint_spectral(state, obs: PauliString, rng: np.random.Generator) ->
     return _measure(state, obs, rng)
 
 
-def _check_ancilla_ready(state: PureState, ancilla: str) -> None:
-    marginal = _slot_first(state, ancilla)
-    weight_outside_zero = float(np.sum(np.abs(marginal[1:]) ** 2))
+def _parity_readout(state: PureState, controls, rng: np.random.Generator,
+                    x_basis: bool) -> tuple[int, PureState]:
+    ancilla = "b"  # the coupling ancilla
+    weight_outside_zero = float(np.sum(np.abs(_slot_first(state, ancilla)[1:]) ** 2))
     if weight_outside_zero > 1e-12:
         raise ValueError(f"coupling ancilla {ancilla!r} must start in |0>")
-
-
-def _parity_readout(state: PureState, controls, ancilla: str,
-                    rng: np.random.Generator, x_basis: bool) -> tuple[int, PureState]:
-    _check_ancilla_ready(state, ancilla)
     work = state
     for c in controls:
         if x_basis:
@@ -191,24 +187,23 @@ def _parity_readout(state: PureState, controls, ancilla: str,
 
 
 def joint_circuit_izz(state: PureState, rng: np.random.Generator,
-                      controls=("a_up", "a_dn"), ancilla: str = "b") -> tuple[int, PureState]:
-    """Nondestructive two-qubit Z-parity readout via a coupling ancilla.
+                      controls=("a_up", "a_dn")) -> tuple[int, PureState]:
+    """Nondestructive two-qubit Z-parity readout via the coupling ancilla b.
 
     CNOTs from both controls onto the ancilla, then a projective Z readout
     of the ancilla.  Ancilla |1> (flipped once) reports eigenvalue -1, i.e.
     opposite Z values on the controls, without revealing either value.
     The returned state keeps the ancilla slot (collapsed).
     """
-    return _parity_readout(state, controls, ancilla, rng, x_basis=False)
+    return _parity_readout(state, controls, rng, x_basis=False)
 
 
-def joint_circuit_xxx(state: PureState, rng: np.random.Generator,
-                      controls=("a_up", "a_dn", "c"), ancilla: str = "b") -> tuple[int, PureState]:
-    """Nondestructive three-qubit X-parity readout via a coupling ancilla.
+def joint_circuit_xxx(state: PureState, rng: np.random.Generator) -> tuple[int, PureState]:
+    """Nondestructive X-parity readout of (a_up, a_dn, c) via the coupling ancilla b.
 
     Each control is conjugated by Hadamards around its CNOT onto the
-    ancilla, accumulating X-basis parity.  The third control slot is
-    expected to carry the downstream spin X information (prepared by the
-    experiment pipeline).  Readout +1 reports product of X values = +1.
+    ancilla, accumulating X-basis parity.  The copy slot c is expected to
+    carry the downstream spin X information (prepared by the experiment
+    pipeline).  Readout +1 reports product of X values = +1.
     """
-    return _parity_readout(state, controls, ancilla, rng, x_basis=True)
+    return _parity_readout(state, ("a_up", "a_dn", "c"), rng, x_basis=True)
