@@ -43,8 +43,10 @@ from .experiment import (
     expectation_t4,
     ordinary_premeasurement,
     premeasurement_state,
+    run_condition_mode,
     run_joint_mode,
     run_local_mode,
+    run_ordinary_mode,
 )
 from .decoherence import (
     CoherenceFactor,
@@ -56,6 +58,7 @@ from .decoherence import (
     detector_passage_unitary,
     reduced_rho_analytic,
     rho_t4_full,
+    run_detector_mode,
     sweep_suppression,
 )
 from .reports import Coded, RowTable, RunReport, emit_report, parse_config_echo, render_report

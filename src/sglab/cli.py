@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: it parses and checks a run configuration, calls
+the one library entry of the pipeline and writes the report.
 
     sglab run local|joint|condition|ordinary|blindness|absorbing|sweep [flags]
 
@@ -27,10 +28,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import decoherence, experiment
-from .observables import PauliString, pauli_expectation
 from .reports import RunReport, emit_report
-from .sampling import check_int, check_seed, split
-from .tensor import DimensionCapError, qubits, PureState
+from .sampling import check_int, check_seed
+from .tensor import DimensionCapError
 
 FORMATS = ("json-lines", "csv")
 AMPLITUDES = ("alpha_re", "alpha_im", "beta_re", "beta_im")
@@ -114,60 +114,18 @@ class ExperimentConfig:
                                    complex(self.beta_re, self.beta_im))
 
 
-def _bell_target(sign: int) -> PureState:
-    amps = np.zeros(4, dtype=complex)
-    amps[0b10] = 1 / np.sqrt(2)
-    amps[0b01] = sign / np.sqrt(2)
-    return PureState(qubits("a_up", "a_dn"), amps)
-
-
-def _run_condition(config: ExperimentConfig) -> RunReport:
-    zz = PauliString({"a_up": "Z", "a_dn": "Z"})
-    rows = []
-    for outcome in (+1, -1):
-        conditional = experiment.condition_on_spin_x(config.prep(), outcome)
-        rows.append({
-            "spin_x_outcome": outcome,
-            "amplitudes": [complex(a) for a in conditional.amplitudes],
-            "bell_fidelity": float(conditional.fidelity(_bell_target(outcome))),
-            "zz_anticorrelation": pauli_expectation(conditional, zz),
-        })
-    return RunReport(rows, {"bell_fidelities": [r["bell_fidelity"] for r in rows]})
-
-
-def _run_ordinary(config: ExperimentConfig) -> RunReport:
-    stage = experiment.ordinary_premeasurement(config.prep())
-    row = {"stage": stage.stage}
-    for key, word in (("z_pup_z_pdn", "IZZ"), ("z_s_z_pup", "ZZI"), ("z_s_z_pdn", "ZIZ")):
-        row[key] = pauli_expectation(stage.state, PauliString.from_word(word, stage.state.register))
-    return RunReport([row], dict(row))
-
-
-def _run_detectors(config: ExperimentConfig, seed: int, mode: str) -> RunReport:
-    """Demon vs readout-only contrast for one detector pair of dimension ``d[0]``."""
-    up_rng, dn_rng = split(seed, 2)
-    det_up = decoherence.DetectorModel.sample(
-        config.d[0], up_rng, config.env_model, config.weights, mode=mode)
-    det_dn = decoherence.DetectorModel.sample(
-        config.d[0], dn_rng, config.env_model, config.weights, mode=mode)
-    if mode == "absorbing":
-        row = decoherence.absorbing_variant(config.prep(), det_up, det_dn)
-    else:
-        row = decoherence.blindness_contrast(config.prep(), det_up, det_dn, seed=seed)
-    summary = {key: row[key] for key in ("demon_analytic", "readout_only_analytic")}
-    return RunReport([row], summary)
-
-
 # Every entry looks its callee up when it is called, so a wrapper later
 # installed on a module attribute (a tracer, a test double) sees the call.
 PIPELINES: dict[str, Callable[[ExperimentConfig, int], RunReport]] = {
     "local": lambda c, seed: experiment.run_local_mode(
         c.prep(), c.basis, c.shots, seed, mixture=c.mixture),
     "joint": lambda c, seed: experiment.run_joint_mode(c.prep(), c.observables, seed),
-    "condition": lambda c, seed: _run_condition(c),
-    "ordinary": lambda c, seed: _run_ordinary(c),
-    "blindness": lambda c, seed: _run_detectors(c, seed, "transmitting"),
-    "absorbing": lambda c, seed: _run_detectors(c, seed, "absorbing"),
+    "condition": lambda c, seed: experiment.run_condition_mode(c.prep()),
+    "ordinary": lambda c, seed: experiment.run_ordinary_mode(c.prep()),
+    "blindness": lambda c, seed: decoherence.run_detector_mode(
+        c.prep(), c.d[0], seed, c.env_model, c.weights, "transmitting"),
+    "absorbing": lambda c, seed: decoherence.run_detector_mode(
+        c.prep(), c.d[0], seed, c.env_model, c.weights, "absorbing"),
     "sweep": lambda c, seed: RunReport(*decoherence.sweep_suppression(
         c.prep(), c.d, c.trials, seed, env_model=c.env_model, weights_model=c.weights)),
 }

@@ -31,8 +31,8 @@ import numpy as np
 
 from .experiment import SpinPrep
 from .observables import PAULI, PauliString, pauli_matrix
-from .reports import RowTable
-from .sampling import check_int, check_seed, random_phase_unitary, spawn
+from .reports import RowTable, RunReport
+from .sampling import check_int, check_seed, random_phase_unitary, spawn, split, stream
 from .tensor import (
     DensityMatrix,
     DimensionCapError,
@@ -81,8 +81,7 @@ class DetectorModel:
 
     def __post_init__(self):
         check_int("d", self.d)
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        _check_mode(self.mode)
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if w.shape[0] != self.d or np.any(w < 0) or not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must be a length-d probability vector")
@@ -100,10 +99,11 @@ class DetectorModel:
                weights_model: str = "uniform", mode: str = "transmitting") -> "DetectorModel":
         """Seeded model of the chosen classes; ``seed`` as in ``sampling.stream``."""
         _under_cap(check_sampling(env_model, weights_model, [d]))
+        rng = stream(seed)  # made for every model, so every model checks the seed
         if env_model == "haar":
-            v = haar_unitary(d, seed)
+            v = haar_unitary(d, rng)
         elif env_model == "phases":
-            v = random_phase_unitary(d, seed)
+            v = random_phase_unitary(d, rng)
         else:
             v = np.eye(d, dtype=complex)
         return cls(d=d, weights=_weights(d, weights_model), V=v, mode=mode)
@@ -116,6 +116,11 @@ def _require_unitary(v: np.ndarray) -> None:
     gram -= np.eye(v.shape[-1])
     if not np.max(np.abs(gram)) <= UNITARITY_TOL:
         raise ValueError("V is not unitary within 1e-12")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def check_sampling(env_model: str, weights_model: str, d_values) -> list[int]:
@@ -297,8 +302,7 @@ def _pointer_z_correlations(prep: SpinPrep, det_up: DetectorModel,
             for key, pair in pairs.items() if set(pair) <= set(rho.register.labels)}
 
 
-def blindness_contrast(prep: SpinPrep, det_up: DetectorModel,
-                       det_dn: DetectorModel, seed: int | None = None) -> dict:
+def blindness_contrast(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorModel) -> dict:
     """Demon vs readout-only X correlation on the post-passage state.
 
     With demon operators (full passage unitary known) the superposition
@@ -311,11 +315,11 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel,
 
     The full values are traces on the branch block of ``rho_t4_full``
     against mode-free operators that swap the branches: [[0, M^H], [M, 0]]
-    with M = X_D_up[fired, ready] (x) X_D_dn[ready, fired] for the demon,
+    for the demon, with M = V_up (x) V_dn^H read from the detectors (the
+    fired-from-ready and ready-from-fired blocks of their demon X), and
     X (x) I for readout-only.  They have the bits of dense register traces.
     """
     mode = _check_modes(det_up, det_dn)
-    seed = None if seed is None else check_seed(seed)
     f_up = coherence_factor(det_up).value
     f_dn = coherence_factor(det_dn).value
     ab = prep.alpha * np.conj(prep.beta)
@@ -335,13 +339,10 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel,
         d_up, d_dn = det_up.d, det_dn.d
         support = _branch_support(mode, d_up, d_dn)
         block = rho_t4_full(prep, det_up, det_dn).entries[np.ix_(support, support)]
-        m = np.kron(demon_x_operator(det_up)[d_up:, :d_up],
-                    demon_x_operator(det_dn)[:d_dn, d_dn:])
+        m = np.kron(det_up.V, det_dn.V.conj().T)
         zero = np.zeros_like(m)
         report["demon_full"] = _trace_op(block, np.block([[zero, m.conj().T], [m, zero]]))
         report["readout_only_full"] = _trace_op(block, np.kron(PAULI["X"], np.eye(d_up * d_dn)))
-    if seed is not None:
-        report["seed"] = seed
     return report
 
 
@@ -356,6 +357,25 @@ def absorbing_variant(prep: SpinPrep, det_up: DetectorModel,
     report["pointer_diag"] = [float(x) for x in np.real(np.diagonal(rho.entries))]
     report["pointer_offdiag_abs"] = float(abs(rho.entries[0b10, 0b01]))
     return report
+
+
+def run_detector_mode(prep: SpinPrep, d: int, seed: int, env_model: str,
+                      weights_model: str, mode: str) -> RunReport:
+    """Demon vs readout-only contrast for one detector pair of dimension d,
+    drawn from child streams 0 (up) and 1 (down) of ``seed`` once every value
+    has passed its gate and the cap; a transmitting row ends with the seed."""
+    _under_cap(check_sampling(env_model, weights_model, [d]))
+    _check_mode(mode)
+    up_rng, dn_rng = split(seed, 2)
+    det_up = DetectorModel.sample(d, up_rng, env_model, weights_model, mode)
+    det_dn = DetectorModel.sample(d, dn_rng, env_model, weights_model, mode)
+    if mode == "absorbing":
+        row = absorbing_variant(prep, det_up, det_dn)
+    else:
+        row = blindness_contrast(prep, det_up, det_dn)
+        row["seed"] = int(seed)
+    summary = {key: row[key] for key in ("demon_analytic", "readout_only_analytic")}
+    return RunReport([row], summary)
 
 
 def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_model: str = "haar",

@@ -10,7 +10,9 @@ the second branch) and the spatial factor is dropped, leaving
     alpha |1 1 0> + beta |0 0 1>   on slots (s, a_up, a_dn).
 
 Local mode reads the three factors slot by slot; joint mode runs the
-coupling-ancilla parity circuits nondestructively on one state instance.
+coupling-ancilla parity circuits nondestructively on one state instance;
+condition mode conditions the ancillae on a spin X readout, and ordinary
+mode reads the joint Z words of an unaided apparatus.
 """
 from __future__ import annotations
 
@@ -161,6 +163,33 @@ def condition_on_spin_x(prep: SpinPrep, outcome: int, phase: float = 0.0) -> Pur
         raise ValueError(f"spin X outcome {outcome:+d} has vanishing probability")
     _, conditional = factor_out(projected.normalize(), "s")
     return conditional
+
+
+def run_condition_mode(prep: SpinPrep) -> RunReport:
+    """Per spin X readout (+1, then -1): the conditional (a_up, a_dn) amplitudes,
+    their fidelity with (|10> + outcome |01>)/sqrt(2) and <Z_up Z_dn>."""
+    zz = PauliString({"a_up": "Z", "a_dn": "Z"})
+    rows = []
+    for outcome in (+1, -1):
+        conditional = condition_on_spin_x(prep, outcome)
+        bell = _two_branch_state(conditional.register, 1 / np.sqrt(2), outcome / np.sqrt(2),
+                                 "10", "01")
+        rows.append({
+            "spin_x_outcome": outcome,
+            "amplitudes": [complex(a) for a in conditional.amplitudes],
+            "bell_fidelity": float(conditional.fidelity(bell)),
+            "zz_anticorrelation": pauli_expectation(conditional, zz),
+        })
+    return RunReport(rows, {"bell_fidelities": [r["bell_fidelity"] for r in rows]})
+
+
+def run_ordinary_mode(prep: SpinPrep) -> RunReport:
+    """The joint Z words of ``ordinary_premeasurement``, as one row and its summary."""
+    stage = ordinary_premeasurement(prep)
+    row = {"stage": stage.stage}
+    for key, word in (("z_pup_z_pdn", "IZZ"), ("z_s_z_pup", "ZZI"), ("z_s_z_pdn", "ZIZ")):
+        row[key] = pauli_expectation(stage.state, PauliString.from_word(word, stage.state.register))
+    return RunReport([row], dict(row))
 
 
 def check_basis(basis) -> None:

@@ -126,8 +126,10 @@ class TestPipelineTable:
     @pytest.mark.parametrize("pipeline,module,name", [
         ("local", "experiment", "run_local_mode"),
         ("joint", "experiment", "run_joint_mode"),
-        ("blindness", "decoherence", "blindness_contrast"),
-        ("absorbing", "decoherence", "absorbing_variant"),
+        ("condition", "experiment", "run_condition_mode"),
+        ("ordinary", "experiment", "run_ordinary_mode"),
+        ("blindness", "decoherence", "run_detector_mode"),
+        ("absorbing", "decoherence", "run_detector_mode"),
         ("sweep", "decoherence", "sweep_suppression"),
     ])
     def test_pipeline_table_looks_up_callees_when_called(self, pipeline, module, name,

@@ -21,11 +21,10 @@ from sglab import (
     PureState,
     SpinPrep,
     basis_state,
-    blindness_contrast,
-    cli,
     decoherence,
     experiment,
     qubits,
+    run_detector_mode,
     run_joint_mode,
     run_local_mode,
     sampling,
@@ -39,7 +38,6 @@ from sglab.sampling import split
 NAN = float("nan")
 ONE = qubits("q")
 PREP = SpinPrep(0.6, 0.8j)
-IDLE = DetectorModel(2, [0.5, 0.5], np.eye(2))
 
 
 def _ensemble():
@@ -130,16 +128,31 @@ BAD_VALUES = {
         lambda: sweep_suppression(PREP, [ENV_DIM_CAP + 1], 3, 1), DimensionCapError,
         f"environment dimension {ENV_DIM_CAP + 1} exceeds", ["sweep", "--d", str(ENV_DIM_CAP + 1)],
         3),
-    "blindness_contrast seed 1.5": (
-        lambda: blindness_contrast(PREP, IDLE, IDLE, seed=1.5), ValueError,
-        "seed must be an integer >= 0, got 1.5", None, None),
+    "sample identity seed -1": (
+        lambda: DetectorModel.sample(2, -1, "identity"), ValueError,
+        "seed must be an integer >= 0, got -1",
+        ["blindness", "--env-model", "identity", "--seed", "-1"], 2),
+    "run_detector_mode seed 1.5": (
+        lambda: run_detector_mode(PREP, 2, 1.5, "haar", "uniform", "transmitting"), ValueError,
+        "seed must be an integer >= 0, got 1.5", ["blindness", {"seed": 1.5}], 2),
+    "run_detector_mode mode": (
+        lambda: run_detector_mode(PREP, 2, 1, "haar", "uniform", "bogus"), ValueError,
+        "mode must be one of ('transmitting', 'absorbing'), got 'bogus'", None, None),
+    "blindness d over cap": (
+        lambda: run_detector_mode(PREP, ENV_DIM_CAP + 1, 1, "haar", "uniform", "transmitting"),
+        DimensionCapError, f"environment dimension {ENV_DIM_CAP + 1} exceeds",
+        ["blindness", "--d", str(ENV_DIM_CAP + 1)], 3),
+    "absorbing d over cap": (
+        lambda: run_detector_mode(PREP, ENV_DIM_CAP + 1, 1, "phases", "uniform", "absorbing"),
+        DimensionCapError, f"environment dimension {ENV_DIM_CAP + 1} exceeds",
+        ["absorbing", "--d", str(ENV_DIM_CAP + 1), "--env-model", "phases"], 3),
     "split n 2.5": (
         lambda: split(1, 2.5), ValueError, "n must be an integer >= 1, got 2.5", None, None),
 }
 
 # Where streams are made, and the joint step: a refusal reaches none of them.
 STREAM_MAKERS = [(experiment, "stream"), (tensor, "stream"), (sampling, "stream"),
-                 (decoherence, "spawn"), (cli, "split")]
+                 (decoherence, "stream"), (decoherence, "spawn"), (decoherence, "split")]
 
 
 @pytest.fixture
