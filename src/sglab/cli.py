@@ -1,5 +1,4 @@
-"""Command-line front end: it parses and checks a run configuration, calls
-the one library entry of the pipeline and writes the report.
+"""Command-line front end: parses a run, calls its library entry, writes the report.
 
     sglab run local|joint|condition|ordinary|blindness|absorbing|sweep [flags]
 

@@ -99,6 +99,7 @@ class DetectorModel:
                weights_model: str = "uniform", mode: str = "transmitting") -> "DetectorModel":
         """Seeded model of the chosen classes; ``seed`` as in ``sampling.stream``."""
         _under_cap(check_sampling(env_model, weights_model, [d]))
+        _check_mode(mode)
         rng = stream(seed)  # made for every model, so every model checks the seed
         if env_model == "haar":
             v = haar_unitary(d, rng)
@@ -315,8 +316,7 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorMo
 
     The full values are traces on the branch block of ``rho_t4_full``
     against mode-free operators that swap the branches: [[0, M^H], [M, 0]]
-    for the demon, with M = V_up (x) V_dn^H read from the detectors (the
-    fired-from-ready and ready-from-fired blocks of their demon X), and
+    for the demon, with M = V_up (x) V_dn^H read from the detectors, and
     X (x) I for readout-only.  They have the bits of dense register traces.
     """
     mode = _check_modes(det_up, det_dn)
@@ -336,13 +336,12 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorMo
     # Sized from the slots: a Register refuses more than DIM_CAP entries,
     # and the analytic values have no cap.
     if math.prod(d for _, d in _full_slots(det_up, det_dn)) <= FULL_DIM_CAP:
-        d_up, d_dn = det_up.d, det_dn.d
-        support = _branch_support(mode, d_up, d_dn)
+        support = _branch_support(mode, det_up.d, det_dn.d)
         block = rho_t4_full(prep, det_up, det_dn).entries[np.ix_(support, support)]
         m = np.kron(det_up.V, det_dn.V.conj().T)
         zero = np.zeros_like(m)
         report["demon_full"] = _trace_op(block, np.block([[zero, m.conj().T], [m, zero]]))
-        report["readout_only_full"] = _trace_op(block, np.kron(PAULI["X"], np.eye(d_up * d_dn)))
+        report["readout_only_full"] = _trace_op(block, np.kron(PAULI["X"], np.eye(len(m))))
     return report
 
 
@@ -361,21 +360,18 @@ def absorbing_variant(prep: SpinPrep, det_up: DetectorModel,
 
 def run_detector_mode(prep: SpinPrep, d: int, seed: int, env_model: str,
                       weights_model: str, mode: str) -> RunReport:
-    """Demon vs readout-only contrast for one detector pair of dimension d,
-    drawn from child streams 0 (up) and 1 (down) of ``seed`` once every value
-    has passed its gate and the cap; a transmitting row ends with the seed."""
+    """Demon vs readout-only contrast of one detector pair of dimension d, drawn
+    from child streams 0 (up) and 1 (down) of ``seed`` after every gate and the cap."""
     _under_cap(check_sampling(env_model, weights_model, [d]))
     _check_mode(mode)
-    up_rng, dn_rng = split(seed, 2)
-    det_up = DetectorModel.sample(d, up_rng, env_model, weights_model, mode)
-    det_dn = DetectorModel.sample(d, dn_rng, env_model, weights_model, mode)
+    det_up, det_dn = (DetectorModel.sample(d, rng, env_model, weights_model, mode)
+                      for rng in split(seed, 2))
     if mode == "absorbing":
         row = absorbing_variant(prep, det_up, det_dn)
     else:
         row = blindness_contrast(prep, det_up, det_dn)
         row["seed"] = int(seed)
-    summary = {key: row[key] for key in ("demon_analytic", "readout_only_analytic")}
-    return RunReport([row], summary)
+    return RunReport([row], {key: row[key] for key in ("demon_analytic", "readout_only_analytic")})
 
 
 def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_model: str = "haar",

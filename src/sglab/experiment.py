@@ -11,8 +11,8 @@ the second branch) and the spatial factor is dropped, leaving
 
 Local mode reads the three factors slot by slot; joint mode runs the
 coupling-ancilla parity circuits nondestructively on one state instance;
-condition mode conditions the ancillae on a spin X readout, and ordinary
-mode reads the joint Z words of an unaided apparatus.
+condition mode reads the ancillae after a spin X readout, ordinary mode an
+unaided apparatus.
 """
 from __future__ import annotations
 

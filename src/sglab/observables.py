@@ -170,8 +170,7 @@ def measure_joint_spectral(state, obs: PauliString, rng: np.random.Generator) ->
 def _parity_readout(state: PureState, controls, rng: np.random.Generator,
                     x_basis: bool) -> tuple[int, PureState]:
     ancilla = "b"  # the coupling ancilla
-    weight_outside_zero = float(np.sum(np.abs(_slot_first(state, ancilla)[1:]) ** 2))
-    if weight_outside_zero > 1e-12:
+    if float(np.sum(np.abs(_slot_first(state, ancilla)[1:]) ** 2)) > 1e-12:
         raise ValueError(f"coupling ancilla {ancilla!r} must start in |0>")
     work = state
     for c in controls:

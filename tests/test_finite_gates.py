@@ -135,6 +135,9 @@ BAD_VALUES = {
     "run_detector_mode seed 1.5": (
         lambda: run_detector_mode(PREP, 2, 1.5, "haar", "uniform", "transmitting"), ValueError,
         "seed must be an integer >= 0, got 1.5", ["blindness", {"seed": 1.5}], 2),
+    "sample mode": (
+        lambda: DetectorModel.sample(2, 1, mode="bogus"), ValueError,
+        "mode must be one of ('transmitting', 'absorbing'), got 'bogus'", None, None),
     "run_detector_mode mode": (
         lambda: run_detector_mode(PREP, 2, 1, "haar", "uniform", "bogus"), ValueError,
         "mode must be one of ('transmitting', 'absorbing'), got 'bogus'", None, None),
