@@ -12,11 +12,9 @@ from .tensor import (
     RegisterError,
     apply_operator,
     basis_state,
-    expectation,
     factor_out,
     haar_unitaries,
     haar_unitary,
-    partial_trace,
     qubits,
     tensor_product,
 )
@@ -29,18 +27,14 @@ from .observables import (
     apply_pauli,
     joint_circuit_izz,
     joint_circuit_xxx,
-    measure_joint_spectral,
     measure_projective,
     pauli_expectation,
     pauli_matrix,
 )
 from .experiment import (
     SpinPrep,
-    StageState,
     branch_mixture,
     condition_on_spin_x,
-    evolve_stages,
-    expectation_t4,
     ordinary_premeasurement,
     premeasurement_state,
     run_condition_mode,
@@ -54,8 +48,6 @@ from .decoherence import (
     absorbing_variant,
     blindness_contrast,
     coherence_factor,
-    demon_x_operator,
-    detector_passage_unitary,
     reduced_rho_analytic,
     rho_t4_full,
     run_detector_mode,

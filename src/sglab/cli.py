@@ -125,8 +125,8 @@ PIPELINES: dict[str, Callable[[ExperimentConfig, int], RunReport]] = {
         c.prep(), c.d[0], seed, c.env_model, c.weights, "transmitting"),
     "absorbing": lambda c, seed: decoherence.run_detector_mode(
         c.prep(), c.d[0], seed, c.env_model, c.weights, "absorbing"),
-    "sweep": lambda c, seed: RunReport(*decoherence.sweep_suppression(
-        c.prep(), c.d, c.trials, seed, env_model=c.env_model, weights_model=c.weights)),
+    "sweep": lambda c, seed: decoherence.sweep_suppression(
+        c.prep(), c.d, c.trials, seed, env_model=c.env_model, weights_model=c.weights),
 }
 
 

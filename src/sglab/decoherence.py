@@ -18,9 +18,11 @@ Two modes:
 Tracing out both environments leaves the spin/pointer density matrix,
 diagonal (|alpha|^2, |beta|^2) on the two collapse words with off-diagonal
 alpha * conj(beta) * f_up * conj(f_dn), where f = sum_mu p_mu <mu|V|mu> is
-the detector's coherence factor.  The demon operator
-P(1) U P(0) + P(0) U^-1 P(1) restores full X access; the readout-only X
-(identity on the environment) sees only the f-suppressed value.
+the detector's coherence factor.  A demon, who knows the passage
+unitaries, reads the full X correlation: ``blindness_contrast`` traces the
+two-branch block against [[0, M^H], [M, 0]] with M = V_up (x) V_dn^H.  The
+readout-only X (identity on the environment) sees only the f-suppressed
+value.
 """
 from __future__ import annotations
 
@@ -176,26 +178,6 @@ class CoherenceFactor:
 def coherence_factor(det: DetectorModel) -> CoherenceFactor:
     """f = sum_mu p_mu <mu|V|mu>, computed exactly."""
     return CoherenceFactor(complex(det.weights @ np.diagonal(det.V)))
-
-
-def detector_passage_unitary(det: DetectorModel) -> np.ndarray:
-    """Passage map on (readout x environment): flip the readout, scramble
-    the environment.  |0, mu> -> |1, V mu> and the inverse maps back."""
-    return np.kron(PAULI["X"], det.V)
-
-
-def demon_x_operator(det: DetectorModel) -> np.ndarray:
-    """Full detector X: P(1) U P(0) + P(0) U^-1 P(1) on (readout x env).
-
-    Requires microscopic control of U and its inverse; Hermitian and
-    squares to the identity.  In absorbing mode the emptied path mode
-    factors out, so the operator takes the same form on this space.
-    """
-    d = det.d
-    u = detector_passage_unitary(det)
-    p0 = np.kron(np.diag([1.0, 0.0]), np.eye(d))
-    p1 = np.kron(np.diag([0.0, 1.0]), np.eye(d))
-    return p1 @ u @ p0 + p0 @ u.conj().T @ p1
 
 
 def _full_slots(det_up: DetectorModel, det_dn: DetectorModel) -> tuple:
@@ -375,7 +357,7 @@ def run_detector_mode(prep: SpinPrep, d: int, seed: int, env_model: str,
 
 
 def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_model: str = "haar",
-                      weights_model: str = "uniform") -> tuple[RowTable, dict]:
+                      weights_model: str = "uniform") -> RunReport:
     """Monte Carlo sweep of coherence-factor suppression over d.
 
     For each (d, trial) a fresh detector pair is drawn from child streams
@@ -384,9 +366,9 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_mode
     and checked for unitarity in stacks, with the same draws, bits and
     1e-12 rule as ``DetectorModel.sample``.  Each stack's streams are
     spawned just before it is drawn, so only one stack of generators is
-    alive at a time.  The rows are columns (a ``RowTable``), one entry per
-    trial: ``d``, ``trial``, |f|^2 for both detectors and the off-diagonal
-    magnitude of the reduced matrix.
+    alive at a time.  The report's rows are columns (a ``RowTable``), one
+    entry per trial: ``d``, ``trial``, |f|^2 for both detectors and the
+    off-diagonal magnitude of the reduced matrix.
 
     ``trials``, ``seed`` and each d must be integers, not bools, and the d
     values distinct.  The summary has one entry per d with:
@@ -448,7 +430,7 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_mode
             "stderr": stderr,
             "z": 0.0 if abs(mean - expected) <= MOMENT_TOL else (mean - expected) / stderr,
         }
-    return rows, summary
+    return RunReport(rows, summary)
 
 
 def _f_abs2_moment(d: int, env_model: str, weights_model: str) -> float:

@@ -82,12 +82,6 @@ class SpinPrep:
         return cls(1 / np.sqrt(2), 1 / np.sqrt(2))
 
 
-@dataclass(frozen=True)
-class StageState:
-    stage: str  # one of t1..t4
-    state: PureState
-
-
 def _two_branch_state(register: Register, alpha: complex, beta: complex,
                       upper_word: str, lower_word: str) -> PureState:
     upper = basis_state(register, upper_word)
@@ -95,36 +89,11 @@ def _two_branch_state(register: Register, alpha: complex, beta: complex,
     return PureState(register, alpha * upper.amplitudes + beta * lower.amplitudes)
 
 
-# Register and (upper, lower) branch words of each stage.
-_STAGES = {
-    "t1": (ANCILLA_REGISTER, "100", "000"),
-    "t2": (PATH_REGISTER, "110", "001"),
-    "t3": (ANCILLA_REGISTER, "110", "001"),
-    "t4": (ANCILLA_REGISTER, "110", "001"),
-}
-
-
-def _stage(prep: SpinPrep, name: str, phase: float = 0.0) -> StageState:
-    """One stage of ``evolve_stages``, built alone."""
-    register, upper, lower = _STAGES[name]
-    beta = prep.beta * np.exp(1j * phase) if name == "t4" else prep.beta
-    return StageState(name, _two_branch_state(register, prep.alpha, beta, upper, lower))
-
-
-def evolve_stages(prep: SpinPrep, phase: float = 0.0) -> list[StageState]:
-    """The four-stage evolution t1 -> t4.
-
-    t2 lives on the path register (the spatial separation is the
-    re-labeling); t3/t4 live on the ancilla register with the ancilla word
-    perfectly correlated with the spin.  ``phase`` multiplies the second
-    branch at recombination.
-    """
-    return [_stage(prep, name, phase) for name in _STAGES]
-
-
 def premeasurement_state(prep: SpinPrep, phase: float = 0.0) -> PureState:
-    """The t4 state on (s, a_up, a_dn)."""
-    return _stage(prep, "t4", phase).state
+    """The t4 state on (s, a_up, a_dn); ``phase`` multiplies the second
+    branch at recombination."""
+    return _two_branch_state(ANCILLA_REGISTER, prep.alpha, prep.beta * np.exp(1j * phase),
+                             "110", "001")
 
 
 def branch_mixture(prep: SpinPrep) -> EnsembleState:
@@ -138,13 +107,13 @@ def branch_mixture(prep: SpinPrep) -> EnsembleState:
     return EnsembleState(((abs(prep.alpha) ** 2, upper), (abs(prep.beta) ** 2, lower)))
 
 
-def ordinary_premeasurement(prep: SpinPrep) -> StageState:
-    """Path-occupation premeasurement of an unaided apparatus (t2 form).
+def ordinary_premeasurement(prep: SpinPrep) -> PureState:
+    """Path-occupation premeasurement of an unaided apparatus (the t2 state).
 
     The state on (s, p_up, p_dn) is an exact eigenstate of the joint words
     Z_pup Z_pdn = -1, Z_s Z_pup = +1, Z_s Z_pdn = -1 for every prep.
     """
-    return _stage(prep, "t2")
+    return _two_branch_state(PATH_REGISTER, prep.alpha, prep.beta, "110", "001")
 
 
 def condition_on_spin_x(prep: SpinPrep, outcome: int, phase: float = 0.0) -> PureState:
@@ -185,10 +154,10 @@ def run_condition_mode(prep: SpinPrep) -> RunReport:
 
 def run_ordinary_mode(prep: SpinPrep) -> RunReport:
     """The joint Z words of ``ordinary_premeasurement``, as one row and its summary."""
-    stage = ordinary_premeasurement(prep)
-    row = {"stage": stage.stage}
+    state = ordinary_premeasurement(prep)
+    row = {"stage": "t2"}
     for key, word in (("z_pup_z_pdn", "IZZ"), ("z_s_z_pup", "ZZI"), ("z_s_z_pdn", "ZIZ")):
-        row[key] = pauli_expectation(stage.state, PauliString.from_word(word, stage.state.register))
+        row[key] = pauli_expectation(state, PauliString.from_word(word, state.register))
     return RunReport([row], dict(row))
 
 
@@ -346,9 +315,3 @@ def run_joint_mode(prep: SpinPrep, observables, seed: int) -> RunReport:
         "final_fidelity": float(fidelity),
     }
     return RunReport(rows, summary)
-
-
-def expectation_t4(prep: SpinPrep, word: str, phase: float = 0.0) -> float:
-    """Exact expectation of a three-letter Pauli word at t4."""
-    state = premeasurement_state(prep, phase=phase)
-    return pauli_expectation(state, PauliString.from_word(word, ANCILLA_REGISTER))

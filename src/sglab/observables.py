@@ -20,14 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .tensor import (
-    EnsembleState,
-    PureState,
-    Register,
-    RegisterError,
-    _slot_first,
-    apply_operator,
-)
+from .tensor import PureState, Register, RegisterError, _slot_first, apply_operator
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -121,14 +114,15 @@ class MeasurementOutcome:
     post_state: PureState
 
 
-def _sample_member(state: EnsembleState, rng: np.random.Generator) -> PureState:
-    idx = rng.choice(len(state.members), p=state.weights)
-    return state.members[idx][1]
+def measure_projective(state: PureState, obs: PauliString,
+                       rng: np.random.Generator) -> MeasurementOutcome:
+    """Projective measurement with Born sampling and collapse.
 
-
-def _measure(state, obs: PauliString, rng: np.random.Generator) -> MeasurementOutcome:
-    if isinstance(state, EnsembleState):
-        state = _sample_member(state, rng)
+    Samples eigenvalue lam with probability ||P_lam psi||^2 where
+    P_lam = (I + lam O)/2 and returns the normalized projected state.
+    Deterministic given the generator state.  On an eigenstate of ``obs``
+    the post-state equals the input (fidelity 1).
+    """
     if obs.is_identity():
         raise ValueError("observable is identically I; nothing to measure")
     applied = apply_pauli(state, obs)  # refuses labels the register lacks
@@ -144,27 +138,6 @@ def _measure(state, obs: PauliString, rng: np.random.Generator) -> MeasurementOu
     projected = (state.amplitudes + eigenvalue * applied.amplitudes) / 2.0
     post = PureState(state.register, projected, normalized=False).normalize()
     return MeasurementOutcome(eigenvalue, probability, post)
-
-
-def measure_projective(state, obs: PauliString, rng: np.random.Generator) -> MeasurementOutcome:
-    """Projective measurement with Born sampling and collapse.
-
-    Samples eigenvalue lam with probability ||P_lam psi||^2 where
-    P_lam = (I + lam O)/2 and returns the normalized projected state.
-    Deterministic given the generator state.  EnsembleState input is
-    handled by first sampling a member by weight.
-    """
-    return _measure(state, obs, rng)
-
-
-def measure_joint_spectral(state, obs: PauliString, rng: np.random.Generator) -> MeasurementOutcome:
-    """Idealized joint measurement via spectral projection.
-
-    Same sampling contract as measure_projective; the point of the separate
-    name is the reading: when the input is an eigenstate, the post-state
-    equals the input (fidelity 1), so nothing about the state is destroyed.
-    """
-    return _measure(state, obs, rng)
 
 
 def _parity_readout(state: PureState, controls, rng: np.random.Generator,

@@ -4,7 +4,7 @@ A register is an ordered list of named slots, each with its own dimension.
 Slot ordering is big-endian: the leftmost slot is the most significant
 index, so on a three-qubit register (s, a_up, a_dn) the basis word |110>
 sits at amplitude index 6.  Everything downstream (gates, Pauli strings,
-partial traces, detector models) relies on this one convention.
+detector models) relies on this one convention.
 
 All values are immutable; operations return new objects.  Randomness never
 enters this module except through an explicit seed or generator argument.
@@ -125,9 +125,6 @@ class PureState:
             raise ValueError("cannot normalize a (numerically) zero state")
         return PureState(self.register, self.amplitudes / n)
 
-    def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.register, np.outer(self.amplitudes, self.amplitudes.conj()))
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -180,19 +177,8 @@ class EnsembleState:
             raise RegisterError("all ensemble members must share one register")
 
     @property
-    def register(self) -> Register:
-        return self.members[0][1].register
-
-    @property
     def weights(self) -> np.ndarray:
         return np.array([w for w, _ in self.members])
-
-    def to_density_matrix(self) -> "DensityMatrix":
-        reg = self.register
-        rho = np.zeros((reg.dim, reg.dim), dtype=complex)
-        for w, s in self.members:
-            rho += w * np.outer(s.amplitudes, s.amplitudes.conj())
-        return DensityMatrix(reg, rho)
 
 
 @dataclass(frozen=True)
@@ -313,45 +299,6 @@ def apply_operator(state: PureState, op: np.ndarray, targets) -> PureState:
     plan = _plan(reg.dims, axes)
     out = (op @ state.amplitudes[plan.gather].reshape(d_t, -1)).reshape(-1)[plan.scatter]
     return PureState(reg, out, normalized=False)
-
-
-def expectation(state, op: np.ndarray, targets) -> complex:
-    """<psi|O|psi> for a PureState, Tr(rho O) for a DensityMatrix.
-
-    The public contract assumes Hermitian ``op``; the imaginary part of the
-    result is then below 1e-12 and the full complex value is returned for
-    inspection.
-    """
-    targets = list(targets)
-    if isinstance(state, PureState):
-        applied = apply_operator(state, op, targets)
-        return complex(np.vdot(state.amplitudes, applied.amplitudes))
-    if isinstance(state, DensityMatrix):
-        reduced = partial_trace(state, keep=targets)
-        return complex(np.trace(np.asarray(op, dtype=complex) @ reduced.entries))
-    if isinstance(state, EnsembleState):
-        return complex(sum(w * expectation(s, op, targets) for w, s in state.members))
-    raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced density matrix on the ``keep`` labels, in the order given."""
-    reg = rho.register
-    keep = list(keep)
-    if not keep:
-        raise RegisterError("keep must name at least one slot")
-    keep_axes = [reg.axis(l) for l in keep]
-    if len(set(keep_axes)) != len(keep_axes):
-        raise RegisterError(f"repeated label in keep list {keep}")
-    dims = reg.dims
-    n = len(dims)
-    tensor = rho.entries.reshape(dims + dims)
-    row = list(range(n))
-    col = [n + i if i in keep_axes else i for i in range(n)]
-    out_idx = [a for a in keep_axes] + [n + a for a in keep_axes]
-    reduced = np.einsum(tensor, row + col, out_idx)
-    d_keep = int(np.prod([dims[a] for a in keep_axes], dtype=int))
-    return DensityMatrix(reg.subregister(keep), reduced.reshape(d_keep, d_keep))
 
 
 def factor_out(state: PureState, label: str) -> tuple[PureState, PureState]:

@@ -1,10 +1,19 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is deliberately slow and dumb: explicit index loops and a
+Most of them are deliberately slow and dumb: explicit index loops and a
 third-party Haar sampler, so agreement with the package's vectorized code
-is meaningful.
+is meaningful.  The rest are the reference algebra that no pipeline runs:
+dense expectations, density matrices of pure states and mixtures, the
+partial trace, the exact t4 expectation, and the detector passage and
+demon operators.  They build on the package's value types and Pauli
+algebra, and the tests compare the pipelines' results against them.
 """
 import numpy as np
+
+from sglab import DensityMatrix, PauliString, pauli_expectation, premeasurement_state
+from sglab.experiment import ANCILLA_REGISTER
+from sglab.observables import PAULI
+from sglab.tensor import RegisterError
 
 
 def brute_partial_trace(entries: np.ndarray, dims, keep_axes) -> np.ndarray:
@@ -97,3 +106,68 @@ def moveaxis_factor_out(amps: np.ndarray, dims, axis: int) -> tuple[np.ndarray, 
     slot = u[:, 0] * s[0]
     rest = u[:, 0].conj() @ mat
     return slot / np.linalg.norm(slot), rest / np.linalg.norm(rest)
+
+
+def dense_expectation(amplitudes: np.ndarray, op: np.ndarray) -> complex:
+    """<psi|O|psi> of a dense operator on the whole register."""
+    return complex(np.vdot(amplitudes, op @ amplitudes))
+
+
+def density_matrix(state) -> DensityMatrix:
+    """|psi><psi| of a PureState."""
+    return DensityMatrix(state.register, np.outer(state.amplitudes, state.amplitudes.conj()))
+
+
+def to_density_matrix(ensemble) -> DensityMatrix:
+    """Weighted sum of member projectors of an EnsembleState."""
+    reg = ensemble.members[0][1].register
+    rho = np.zeros((reg.dim, reg.dim), dtype=complex)
+    for w, s in ensemble.members:
+        rho += w * np.outer(s.amplitudes, s.amplitudes.conj())
+    return DensityMatrix(reg, rho)
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Reduced density matrix on the ``keep`` labels, in the order given."""
+    reg = rho.register
+    keep = list(keep)
+    if not keep:
+        raise RegisterError("keep must name at least one slot")
+    keep_axes = [reg.axis(l) for l in keep]
+    if len(set(keep_axes)) != len(keep_axes):
+        raise RegisterError(f"repeated label in keep list {keep}")
+    dims = reg.dims
+    n = len(dims)
+    tensor = rho.entries.reshape(dims + dims)
+    row = list(range(n))
+    col = [n + i if i in keep_axes else i for i in range(n)]
+    out_idx = [a for a in keep_axes] + [n + a for a in keep_axes]
+    reduced = np.einsum(tensor, row + col, out_idx)
+    d_keep = int(np.prod([dims[a] for a in keep_axes], dtype=int))
+    return DensityMatrix(reg.subregister(keep), reduced.reshape(d_keep, d_keep))
+
+
+def expectation_t4(prep, word: str, phase: float = 0.0) -> float:
+    """Exact expectation of a three-letter Pauli word at t4."""
+    state = premeasurement_state(prep, phase=phase)
+    return pauli_expectation(state, PauliString.from_word(word, ANCILLA_REGISTER))
+
+
+def detector_passage_unitary(det) -> np.ndarray:
+    """Passage map on (readout x environment): flip the readout, scramble
+    the environment.  |0, mu> -> |1, V mu> and the inverse maps back."""
+    return np.kron(PAULI["X"], det.V)
+
+
+def demon_x_operator(det) -> np.ndarray:
+    """Full detector X: P(1) U P(0) + P(0) U^-1 P(1) on (readout x env).
+
+    Requires microscopic control of U and its inverse; Hermitian and
+    squares to the identity.  In absorbing mode the emptied path mode
+    factors out, so the operator takes the same form on this space.
+    """
+    d = det.d
+    u = detector_passage_unitary(det)
+    p0 = np.kron(np.diag([1.0, 0.0]), np.eye(d))
+    p1 = np.kron(np.diag([0.0, 1.0]), np.eye(d))
+    return p1 @ u @ p0 + p0 @ u.conj().T @ p1

@@ -14,8 +14,6 @@ from sglab import (
     SpinPrep,
     blindness_contrast,
     condition_on_spin_x,
-    expectation_t4,
-    partial_trace,
     qubits,
     reduced_rho_analytic,
     rho_t4_full,
@@ -26,6 +24,8 @@ from sglab import (
 from sglab.cli import main
 from sglab.sampling import split
 from sglab.tensor import PureState
+
+from oracles import expectation_t4, partial_trace
 
 BALANCED = SpinPrep.balanced()
 
@@ -103,7 +103,7 @@ def test_criterion_06_joint_sequence_nondestructive(announce):
 def test_criterion_07_ordinary_premeasurement(announce):
     from sglab.experiment import ordinary_premeasurement
     from sglab.observables import PauliString, apply_pauli
-    state = ordinary_premeasurement(SpinPrep(0.6, 0.8j)).state
+    state = ordinary_premeasurement(SpinPrep(0.6, 0.8j))
     wants = {"IZZ": -1.0, "ZZI": 1.0, "ZIZ": -1.0}
     ok = True
     for word, value in wants.items():
@@ -136,7 +136,7 @@ def test_criterion_08_reduced_matrix_oracle(announce):
 
 def test_criterion_09_suppression_scaling(announce):
     d_values = [4, 8, 16, 32]
-    rows, _ = sweep_suppression(BALANCED, d_values, 500, seed=7)
+    rows = sweep_suppression(BALANCED, d_values, 500, seed=7).rows
     ok = True
     for d in d_values:
         vals = np.array([r["f_abs2_up"] for r in rows if r["d"] == d]

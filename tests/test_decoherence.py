@@ -11,9 +11,6 @@ from sglab import (
     absorbing_variant,
     blindness_contrast,
     coherence_factor,
-    demon_x_operator,
-    detector_passage_unitary,
-    partial_trace,
     reduced_rho_analytic,
     rho_t4_full,
     sweep_suppression,
@@ -22,6 +19,8 @@ from sglab.decoherence import ENV_DIM_CAP, FULL_DIM_CAP, MODES, _branch_support
 from sglab.observables import PAULI
 from sglab.sampling import split, stream
 from sglab.tensor import DIM_CAP
+
+from oracles import demon_x_operator, detector_passage_unitary, partial_trace
 
 
 def dense_rho_t4_full(prep, det_up, det_dn):
@@ -365,7 +364,8 @@ class TestAbsorbingVariant:
 
 class TestSweep:
     def test_moment_matches_uniform_haar(self):
-        rows, summary = sweep_suppression(BALANCED, [4, 8], 300, seed=7)
+        report = sweep_suppression(BALANCED, [4, 8], 300, seed=7)
+        rows, summary = report.rows, report.summary
         for d in (4, 8):
             vals = np.array([r["f_abs2_up"] for r in rows if r["d"] == d]
                             + [r["f_abs2_dn"] for r in rows if r["d"] == d])
@@ -374,7 +374,7 @@ class TestSweep:
             assert summary[str(d)]["expected_uniform_haar"] == pytest.approx(1 / d**2)
 
     def test_rows_shape_and_offdiag(self):
-        rows, _ = sweep_suppression(GENERIC, [2], 5, seed=1)
+        rows = sweep_suppression(GENERIC, [2], 5, seed=1).rows
         assert len(rows) == 5
         for r in rows:
             want = 0.48 * np.sqrt(r["f_abs2_up"] * r["f_abs2_dn"])

@@ -11,17 +11,22 @@ from sglab import (
     basis_state,
     branch_mixture,
     condition_on_spin_x,
-    evolve_stages,
-    expectation_t4,
     ordinary_premeasurement,
     premeasurement_state,
     qubits,
     run_joint_mode,
     run_local_mode,
+    run_ordinary_mode,
 )
 from sglab.experiment import ANCILLA_REGISTER, PATH_REGISTER
 
-from oracles import pauli_word_matrix, projective_probability
+from oracles import (
+    density_matrix,
+    expectation_t4,
+    pauli_word_matrix,
+    projective_probability,
+    to_density_matrix,
+)
 
 GENERIC = SpinPrep(0.6, 0.8j)
 
@@ -40,23 +45,18 @@ class TestPrepAndStages:
             SpinPrep(0.9, 0.9)
 
     def test_stage_words(self):
-        stages = evolve_stages(GENERIC)
-        assert [s.stage for s in stages] == ["t1", "t2", "t3", "t4"]
-        t1 = stages[0].state
-        assert t1.amplitudes[0b100] == pytest.approx(0.6)
-        assert t1.amplitudes[0b000] == pytest.approx(0.8j)
-        t2 = stages[1].state
+        t2 = ordinary_premeasurement(GENERIC)
         assert t2.register == PATH_REGISTER
         assert t2.amplitudes[0b110] == pytest.approx(0.6)
         assert t2.amplitudes[0b001] == pytest.approx(0.8j)
-        t4 = stages[3].state
+        t4 = premeasurement_state(GENERIC)
         assert t4.register == ANCILLA_REGISTER
         assert t4.amplitudes[0b110] == pytest.approx(0.6)
         assert t4.amplitudes[0b001] == pytest.approx(0.8j)
 
     def test_path_overlap_is_zero(self):
         # The two t2 branches occupy orthogonal path words.
-        t2 = evolve_stages(SpinPrep.balanced())[1].state
+        t2 = ordinary_premeasurement(SpinPrep.balanced())
         support = np.flatnonzero(np.abs(t2.amplitudes) > 0)
         assert set(support) == {0b110, 0b001}
 
@@ -66,19 +66,18 @@ class TestPrepAndStages:
         assert t4.amplitudes[0b001] == pytest.approx(0.8j * np.exp(1j * chi))
 
     @pytest.mark.parametrize("phase", [0.0, 0.7, -2.9])
-    def test_single_stage_builders_equal_evolve_stages(self, phase):
+    def test_stage_builders_are_bitwise_the_branch_sums(self, phase):
         prep = SpinPrep(0.6 * np.exp(0.3j), 0.8 * np.exp(-1.1j))
-        stages = evolve_stages(prep, phase=phase)
         t4 = premeasurement_state(prep, phase=phase)
         t2 = ordinary_premeasurement(prep)
-        assert t4.register == stages[3].state.register
-        assert np.all(t4.amplitudes == stages[3].state.amplitudes)
-        assert t2.stage == "t2" and t2.state.register == stages[1].state.register
-        assert np.all(t2.state.amplitudes == stages[1].state.amplitudes)
-        # The t4 amplitudes, term by term as the four-stage build forms them.
+        assert t4.register == ANCILLA_REGISTER and t2.register == PATH_REGISTER
+        # The amplitudes, term by term as the stage builders form them.
         upper = basis_state(ANCILLA_REGISTER, "110").amplitudes
         lower = basis_state(ANCILLA_REGISTER, "001").amplitudes
         assert np.all(t4.amplitudes == prep.alpha * upper + prep.beta * np.exp(1j * phase) * lower)
+        upper = basis_state(PATH_REGISTER, "110").amplitudes
+        lower = basis_state(PATH_REGISTER, "001").amplitudes
+        assert np.all(t2.amplitudes == prep.alpha * upper + prep.beta * lower)
 
     def test_spin_z_expectation(self):
         assert expectation_t4(SpinPrep(0.6, 0.8), "ZII") == pytest.approx(-0.28)
@@ -100,8 +99,8 @@ class TestPrepAndStages:
         assert expectation_t4(SpinPrep(0.6, 0.8), "XXX") == pytest.approx(0.96)
 
     def test_mixture_z_sector_matches_t4(self):
-        mix = branch_mixture(GENERIC).to_density_matrix()
-        t4 = premeasurement_state(GENERIC).density_matrix()
+        mix = to_density_matrix(branch_mixture(GENERIC))
+        t4 = density_matrix(premeasurement_state(GENERIC))
         assert np.allclose(np.diagonal(mix.entries), np.diagonal(t4.entries))
         # but the off-diagonal coherence is gone
         assert abs(mix.entries[0b110, 0b001]) < 1e-15
@@ -111,9 +110,8 @@ class TestPrepAndStages:
 class TestOrdinaryPremeasurement:
     def test_joint_z_words(self):
         from sglab.observables import PauliString, apply_pauli
-        stage = ordinary_premeasurement(GENERIC)
-        state = stage.state
-        assert stage.stage == "t2"
+        state = ordinary_premeasurement(GENERIC)
+        assert run_ordinary_mode(GENERIC).rows[0]["stage"] == "t2"
         for word, value in (("IZZ", -1.0), ("ZZI", +1.0), ("ZIZ", -1.0)):
             obs = PauliString.from_word(word, state.register)
             got = np.real(np.vdot(state.amplitudes, apply_pauli(state, obs).amplitudes))

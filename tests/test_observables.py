@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sglab import (
-    EnsembleState,
     PureState,
     apply_operator,
     basis_state,
-    expectation,
     factor_out,
     qubits,
     tensor_product,
@@ -22,7 +20,6 @@ from sglab.observables import (
     apply_pauli,
     joint_circuit_izz,
     joint_circuit_xxx,
-    measure_joint_spectral,
     measure_projective,
     pauli_expectation,
     pauli_matrix,
@@ -30,7 +27,7 @@ from sglab.observables import (
 from sglab.sampling import stream
 from sglab.tensor import RegisterError
 
-from oracles import pauli_word_matrix, projective_probability, random_state
+from oracles import dense_expectation, pauli_word_matrix, projective_probability, random_state
 
 REG3 = qubits("s", "a_up", "a_dn")
 
@@ -123,7 +120,7 @@ class TestPauliString:
         amps = np.array(parts[:8]) + 1j * np.array(parts[8:])
         state = PureState(REG3, amps / np.linalg.norm(amps))
         obs = PauliString.from_word(word, REG3)
-        dense = expectation(state, pauli_matrix(obs, REG3), REG3.labels).real
+        dense = dense_expectation(state.amplitudes, pauli_matrix(obs, REG3)).real
         assert abs(pauli_expectation(state, obs) - dense) <= 1e-12
 
 
@@ -182,31 +179,14 @@ class TestProjectiveMeasurement:
                                           out.eigenvalue)
             assert out.probability == pytest.approx(want, abs=1e-12)
 
-    def test_ensemble_input(self):
-        mix = EnsembleState(((0.5, basis_state(REG3, "110")),
-                             (0.5, basis_state(REG3, "001"))))
-        obs = PauliString.from_word("ZII", REG3)
-        rng = stream(12)
-        vals = [measure_projective(mix, obs, rng).eigenvalue for _ in range(2000)]
-        assert abs(np.mean(vals)) < 0.1
-        assert set(vals) == {-1, +1}
-
 
 class TestJointSpectral:
     def test_nondestructive_on_eigenstate(self):
         state = ghz()
         rng = stream(4)
-        out = measure_joint_spectral(state, PauliString.from_word("IZZ", REG3), rng)
+        out = measure_projective(state, PauliString.from_word("IZZ", REG3), rng)
         assert out.eigenvalue == -1
         assert out.post_state.fidelity(state) == pytest.approx(1.0)
-
-    def test_mixture_mean_vanishes(self):
-        mix = EnsembleState(((0.5, basis_state(REG3, "110")),
-                             (0.5, basis_state(REG3, "001"))))
-        obs = PauliString.from_word("XXX", REG3)
-        rng = stream(6)
-        vals = [measure_joint_spectral(mix, obs, rng).eigenvalue for _ in range(4000)]
-        assert abs(np.mean(vals)) < 3 / np.sqrt(4000)
 
 
 def with_coupler(state, extra="b"):
@@ -283,7 +263,7 @@ class TestParityCircuits:
         obs = PauliString.from_word("IZZ", REG3)
         n = 3000
         circuit_vals = [joint_circuit_izz(with_coupler(state), rng)[0] for _ in range(n)]
-        spectral_vals = [measure_joint_spectral(state, obs, rng).eigenvalue
+        spectral_vals = [measure_projective(state, obs, rng).eigenvalue
                          for _ in range(n)]
         se = np.sqrt(2.0 / n)  # conservative for +-1 variables
         assert abs(np.mean(circuit_vals) - np.mean(spectral_vals)) < 3 * se

@@ -64,8 +64,8 @@ class TestColumns:
 
     @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
     def test_sweep_columns_match_row_rendering(self, fmt):
-        rows, summary = sweep_suppression(GENERIC, [3, 2, 5], 4, seed=3, weights_model="geometric")
-        report = RunReport(rows, summary, {"pipeline": "sweep"})
+        sweep = sweep_suppression(GENERIC, [3, 2, 5], 4, seed=3, weights_model="geometric")
+        report = RunReport(sweep.rows, sweep.summary, {"pipeline": "sweep"})
         assert render_report(report, fmt) == reference_render(report, fmt)
 
     def test_row_table_reads_like_row_dicts(self):

