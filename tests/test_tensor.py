@@ -30,6 +30,7 @@ from oracles import (
     partial_trace,
     random_state,
     scipy_haar,
+    to_density_matrix,
 )
 
 
@@ -294,6 +295,38 @@ class TestGatesThroughThePlan:
         state = PureState(qubits("a"), [0.0, 1.0], normalized=False)
         assert state.normalized
         assert state.norm() == 1.0
+
+
+def local_expectation(state, op, targets):
+    """<psi|O|psi> of an operator on the named slots, through apply_operator."""
+    return np.vdot(state.amplitudes, apply_operator(state, op, targets).amplitudes)
+
+
+class TestExpectation:
+    def test_ghz_pauli_values(self):
+        ghz = ghz_state()
+        z, x = PAULI["Z"], PAULI["X"]
+        assert local_expectation(ghz, np.kron(z, z), ["s", "a_up"]).real == pytest.approx(1.0)
+        assert local_expectation(ghz, np.kron(z, z), ["s", "a_dn"]).real == pytest.approx(-1.0)
+        assert local_expectation(ghz, np.kron(z, z), ["a_up", "a_dn"]).real == pytest.approx(-1.0)
+        xxx = np.kron(np.kron(x, x), x)
+        assert local_expectation(ghz, xxx, ["s", "a_up", "a_dn"]).real == pytest.approx(1.0)
+
+    def test_density_matrix_matches_pure(self):
+        ghz = ghz_state()
+        op = np.kron(PAULI["Z"], PAULI["Z"])
+        pure_val = local_expectation(ghz, op, ["s", "a_up"])
+        reduced = partial_trace(density_matrix(ghz), ["s", "a_up"])
+        rho_val = np.trace(reduced.entries @ op)
+        assert abs(pure_val - rho_val) < 1e-12
+
+    def test_ensemble_is_weighted_sum(self):
+        reg = qubits("a")
+        mix = EnsembleState(((0.25, basis_state(reg, "1")), (0.75, basis_state(reg, "0"))))
+        weighted = sum(w * local_expectation(s, PAULI["Z"], ["a"]).real for w, s in mix.members)
+        rho_val = np.trace(to_density_matrix(mix).entries @ PAULI["Z"]).real
+        assert weighted == pytest.approx(0.25 - 0.75)
+        assert rho_val == pytest.approx(weighted)
 
 
 class TestPartialTrace:
