@@ -78,6 +78,20 @@ _GRID_RUNS = [
     for env in ("phases", "identity") for prep in (ZERO_ALPHA, ZERO_BETA)
 ] + [
     ["absorbing", "--d", "8", "--env-model", "phases", *ZERO_ALPHA, "--seed", "41"],
+] + [
+    # Diagonal environments past d = 9: sweeps with d = 1 and stacks of one
+    # matrix (d >= 128), and detector pairs with analytic values only
+    # (absorbing d = 12 is the first without *_full fields).
+    ["sweep", "--d", "1,64,130", "--trials", "3", "--env-model", env, "--weights", weights,
+     "--seed", "42"]
+    for env in ("phases", "identity") for weights in ("uniform", "geometric")
+] + [
+    [pipeline, "--d", d, "--env-model", env, "--seed", "43"]
+    for pipeline, d in (("blindness", "130"), ("absorbing", "130"), ("absorbing", "12"))
+    for env in ("phases", "identity")
+] + [
+    # Haar stacks of one matrix each.
+    ["sweep", "--d", "130", "--trials", "2", "--env-model", "haar", "--seed", "44"],
 ]
 # The digest grid: each run in both formats, keyed by its argv.
 DIGEST_GRID = {
