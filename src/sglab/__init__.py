@@ -13,7 +13,6 @@ from .tensor import (
     apply_operator,
     basis_state,
     factor_out,
-    haar_unitaries,
     haar_unitary,
     qubits,
     tensor_product,

@@ -73,6 +73,9 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, (int, float)) or abs(value) > 1:
                 raise ConfigError(f"prep amplitude {name} must be a number in [-1, 1]")
             setattr(self, name, float(value))
+        for name in ("observables", "d"):  # a JSON string or object would iterate
+            if not isinstance(getattr(self, name), list):
+                raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
         # The library's gates, for every field whatever the pipeline.  Its caps
         # stay in the entries: a field a pipeline ignores is not refused for size.
         try:

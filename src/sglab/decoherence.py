@@ -34,14 +34,8 @@ import numpy as np
 from .experiment import SpinPrep
 from .observables import PAULI, PauliString, pauli_matrix
 from .reports import RowTable, RunReport
-from .sampling import check_int, check_seed, random_phase_unitary, spawn, split, stream
-from .tensor import (
-    DensityMatrix,
-    DimensionCapError,
-    Register,
-    haar_unitaries,
-    haar_unitary,
-)
+from .sampling import check_int, check_seed, spawn, split, stream
+from .tensor import DensityMatrix, DimensionCapError, Register, haar_unitary
 
 # The brute-force full-density-matrix path is the validator, not the
 # product; it is capped so the analytic path is the only one that scales.
@@ -99,17 +93,16 @@ class DetectorModel:
     @classmethod
     def sample(cls, d: int, seed, env_model: str = "haar",
                weights_model: str = "uniform", mode: str = "transmitting") -> "DetectorModel":
-        """Seeded model of the chosen classes; ``seed`` as in ``sampling.stream``."""
+        """Seeded model of the chosen classes; ``seed`` as in ``sampling.stream``.
+
+        V is the one-matrix stack of ``_env_unitaries``, the sweep's sampler,
+        so a detector drawn here has the bits of the same stream's sweep draw.
+        """
         _under_cap(check_sampling(env_model, weights_model, [d]))
         _check_mode(mode)
         rng = stream(seed)  # made for every model, so every model checks the seed
-        if env_model == "haar":
-            v = haar_unitary(d, rng)
-        elif env_model == "phases":
-            v = random_phase_unitary(d, rng)
-        else:
-            v = np.eye(d, dtype=complex)
-        return cls(d=d, weights=_weights(d, weights_model), V=v, mode=mode)
+        return cls(d=d, weights=_weights(d, weights_model),
+                   V=_env_unitaries(d, [rng], env_model)[0], mode=mode)
 
 
 def _require_unitary(v: np.ndarray) -> None:
@@ -156,11 +149,13 @@ def _weights(d: int, weights_model: str) -> np.ndarray:
 
 
 def _env_unitaries(d: int, rngs, env_model: str) -> np.ndarray:
-    """Stack of environment unitaries, one per generator in ``rngs``."""
+    """Stack of environment unitaries, one per generator in ``rngs``: Haar,
+    diagonal with independent uniform phases, or the identity.  This is the
+    package's one environment draw."""
     if env_model == "haar":
-        return haar_unitaries(d, rngs)
+        return haar_unitary(d, rngs)
     if env_model == "phases":
-        return np.stack([random_phase_unitary(d, rng) for rng in rngs])
+        return np.stack([np.diag(np.exp(2j * np.pi * rng.random(d))) for rng in rngs])
     return np.broadcast_to(np.eye(d, dtype=complex), (len(rngs), d, d))
 
 
@@ -363,8 +358,10 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_mode
     For each (d, trial) a fresh detector pair is drawn from child streams
     of the root seed: stream 2k for the up detector and 2k + 1 for the down
     detector of row k.  The environment unitaries of each d are sampled
-    and checked for unitarity in stacks, with the same draws, bits and
-    1e-12 rule as ``DetectorModel.sample``.  Each stack's streams are
+    in stacks by ``_env_unitaries``, the sampler ``DetectorModel.sample``
+    draws its one matrix from, so a row has the bits of detectors sampled
+    from the same streams; each stack is checked for unitarity with
+    ``DetectorModel``'s 1e-12 rule.  Each stack's streams are
     spawned just before it is drawn, so only one stack of generators is
     alive at a time.  The report's rows are columns (a ``RowTable``), one
     entry per trial: ``d``, ``trial``, |f|^2 for both detectors and the

@@ -1,9 +1,11 @@
-"""Seeded, splittable random streams.
+"""Seeded, splittable random streams, and ``check_int``, the one integer rule.
 
 All randomness in the package flows from one explicit non-negative integer
 seed through Philox (counter-based) generators.  Independent child streams
 are derived with SeedSequence spawning, so parallel shots and sweep points
-are reproducible bit-for-bit regardless of evaluation order.
+are reproducible bit-for-bit regardless of evaluation order.  What is drawn
+from a stream lives with its model (``tensor.haar_unitary``,
+``decoherence._env_unitaries``); this module makes no draws.
 """
 from __future__ import annotations
 
@@ -42,7 +44,3 @@ def spawn(root: np.random.SeedSequence, n: int) -> list[np.random.Generator]:
     """
     return [np.random.Generator(np.random.Philox(c)) for c in root.spawn(check_int("n", n))]
 
-
-def random_phase_unitary(d: int, seed) -> np.ndarray:
-    """Diagonal unitary of independent uniform phases; ``seed`` as in ``stream``."""
-    return np.diag(np.exp(2j * np.pi * stream(seed).random(d)))

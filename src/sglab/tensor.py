@@ -7,7 +7,7 @@ sits at amplitude index 6.  Everything downstream (gates, Pauli strings,
 detector models) relies on this one convention.
 
 All values are immutable; operations return new objects.  Randomness never
-enters this module except through an explicit seed or generator argument.
+enters this module except through explicit numpy Generators.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sampling import check_int, stream
+from .sampling import check_int
 
 # Registers above this total dimension are refused: the dense backend is
 # meant for small exact computations, not large-scale simulation.
@@ -319,12 +319,14 @@ def factor_out(state: PureState, label: str) -> tuple[PureState, PureState]:
             PureState(reg.subregister(rest_labels), rest_amps, normalized=False).normalize())
 
 
-def haar_unitaries(d: int, rngs) -> np.ndarray:
+def haar_unitary(d: int, rngs) -> np.ndarray:
     """Stack of Haar-distributed d x d unitaries, one per generator in ``rngs``.
 
     Construction (Mezzadri 2007): each generator draws a complex-Gaussian
     (Ginibre) matrix, real parts first; one batched QR orthonormalizes the
-    stack, then the R-diagonal phase correction makes each Q Haar.
+    stack, then the R-diagonal phase correction makes each Q Haar.  A
+    one-generator list gives one matrix, ``haar_unitary(d, [rng])[0]``, with
+    the bits it has at any place in a longer stack.
     """
     check_int("d", d)
     z = np.empty((len(rngs), d, d), dtype=complex)
@@ -341,11 +343,3 @@ def haar_unitaries(d: int, rngs) -> np.ndarray:
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (diag / np.abs(diag))[:, None, :]
     return q
-
-
-def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed d x d unitary: the one-matrix case of ``haar_unitaries``.
-
-    ``seed`` may be an integer or a numpy Generator (see ``sampling.stream``).
-    """
-    return haar_unitaries(d, [stream(seed)])[0]

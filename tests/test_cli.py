@@ -106,6 +106,7 @@ class TestExperimentConfig:
         ("mixture", 1), ("mixture", "yes"), ("mixture", None),
         ("alpha_re", True), ("alpha_re", "0.5"), ("alpha_re", 10**400),
         ("d", [2, 3, 2]), ("out", 1),
+        ("observables", {"IZZ": 1}), ("observables", "IZZ"), ("d", {"3": 1}),
     ])
     def test_rejects_mistyped_values_and_repeated_d(self, key, value):
         with pytest.raises(ConfigError):
@@ -248,6 +249,15 @@ class TestCliEndToEnd:
         bad_cfg.write_text(json.dumps({"turbo": True}))
         assert run_cli(["local", "--config", str(bad_cfg)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key,value", [
+        ("observables", {"IZZ": 1, "XXX": 2}), ("observables", "ZZI"), ("d", 3),
+    ])
+    def test_config_file_lists_must_be_lists(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli(["joint", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"config error: {key} must be a list" in capsys.readouterr().err
 
     def test_exit_code_dimension_cap(self, tmp_path, capsys):
         assert run_cli(["sweep", "--d", "100000", "--seed", "1",

@@ -29,7 +29,6 @@ from sglab import (
     run_local_mode,
     sampling,
     sweep_suppression,
-    tensor,
 )
 from sglab.cli import PIPELINES, ConfigError, ExperimentConfig, main
 from sglab.decoherence import ENV_DIM_CAP
@@ -154,7 +153,7 @@ BAD_VALUES = {
 }
 
 # Where streams are made, and the joint step: a refusal reaches none of them.
-STREAM_MAKERS = [(experiment, "stream"), (tensor, "stream"), (sampling, "stream"),
+STREAM_MAKERS = [(experiment, "stream"), (sampling, "stream"),
                  (decoherence, "stream"), (decoherence, "spawn"), (decoherence, "split")]
 
 

@@ -7,6 +7,7 @@ Every public function, method, classmethod and property defined in an
 ``sglab`` module must have been called, or be named in ``DOCUMENTED_API``;
 README.md names every entry of that tuple.
 """
+import ast
 import json
 import os
 import subprocess
@@ -98,3 +99,21 @@ def test_every_public_definition_is_reached_or_documented(tmp_path):
 def test_readme_names_every_documented_name():
     readme = README.read_text(encoding="utf-8")
     assert [name for name in DOCUMENTED_API if f"`{name}`" not in readme] == []
+
+
+def test_no_module_binds_an_unused_import():
+    # __init__ is left out: its imports are the package's exports.
+    unused = []
+    for path in sorted(Path(sglab.__file__).resolve().parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        for node in imports:
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert unused == []

@@ -2,13 +2,20 @@
 import numpy as np
 import pytest
 
-from sglab import DetectorModel, DimensionCapError, SpinPrep, coherence_factor, sweep_suppression
+from sglab import (
+    DetectorModel,
+    DimensionCapError,
+    SpinPrep,
+    coherence_factor,
+    run_detector_mode,
+    sweep_suppression,
+)
 from sglab import decoherence
 from sglab.cli import main
 from sglab.decoherence import ENV_DIM_CAP, SWEEP_CHUNK_ENTRIES, SWEEP_DRAW_CAP
 from sglab.reports import RowTable
 from sglab.sampling import split
-from sglab.tensor import haar_unitaries, haar_unitary
+from sglab.tensor import haar_unitary
 
 GENERIC = SpinPrep(complex(0.28, 0.6), complex(0.5, np.sqrt(1 - 0.28**2 - 0.36 - 0.25)))
 
@@ -119,11 +126,29 @@ def test_streams_are_spawned_one_stack_at_a_time(monkeypatch):
 
 def test_haar_stack_is_bitwise_the_one_matrix_case():
     for d in (1, 3, 48):
-        stack = haar_unitaries(d, split(d, 5))
-        singles = [haar_unitary(d, rng) for rng in split(d, 5)]
+        stack = haar_unitary(d, split(d, 5))
+        singles = [haar_unitary(d, [rng])[0] for rng in split(d, 5)]
         assert stack.shape == (5, d, d)
         for got, want in zip(stack, singles):
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("run,d_drawn", [
+    (lambda: run_detector_mode(GENERIC, 3, 5, "haar", "uniform", "transmitting"), [3]),
+    (lambda: sweep_suppression(GENERIC, [2, 130], 2, seed=5), [2, 130]),
+], ids=["detector", "sweep"])
+def test_detector_pipelines_draw_through_haar_unitary(run, d_drawn, monkeypatch):
+    # Both pipelines' Haar draws pass the one name, so a span on
+    # tensor.haar_unitary sees them all.
+    drawn = []
+
+    def spy(d, rngs):
+        drawn.append(d)
+        return haar_unitary(d, rngs)
+
+    monkeypatch.setattr(decoherence, "haar_unitary", spy)
+    run()
+    assert sorted(set(drawn)) == d_drawn
 
 
 class TestStackedUnitarityGate:
@@ -138,7 +163,7 @@ class TestStackedUnitarityGate:
 
     @pytest.mark.parametrize("how", ["off", "nan"])
     def test_one_bad_matrix_fails_the_stack(self, how):
-        stack = haar_unitaries(4, split(0, 5))
+        stack = haar_unitary(4, split(0, 5))
         decoherence._require_unitary(stack)
         with pytest.raises(ValueError, match="V is not unitary within 1e-12"):
             decoherence._require_unitary(self.spoil(stack, how))
@@ -148,9 +173,9 @@ class TestStackedUnitarityGate:
     @pytest.mark.parametrize("how", ["off", "nan"])
     def test_sweep_refuses_a_bad_chunk(self, how, monkeypatch):
         def spoiled(d, rngs):
-            return self.spoil(haar_unitaries(d, rngs), how)
+            return self.spoil(haar_unitary(d, rngs), how)
 
-        monkeypatch.setattr(decoherence, "haar_unitaries", spoiled)
+        monkeypatch.setattr(decoherence, "haar_unitary", spoiled)
         with pytest.raises(ValueError, match="V is not unitary within 1e-12"):
             sweep_suppression(GENERIC, [4], 3, seed=0)
 

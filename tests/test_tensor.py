@@ -181,7 +181,7 @@ class TestApplyOperator:
         rng = stream(seed)
         reg = qubits("a", "b", "c")
         state = PureState(reg, random_state(8, rng))
-        u = haar_unitary(4, rng)
+        u = haar_unitary(4, [rng])[0]
         out = apply_operator(state, u, ["a", "c"])
         assert abs(out.norm() - 1.0) < 1e-12
 
@@ -440,7 +440,7 @@ class TestDensityMatrixBlockCheck:
         assert rho.entries.tobytes() == mat.tobytes()
 
     def test_negative_eigenvalue_inside_block_refused(self):
-        u = haar_unitary(5, 4)
+        u = haar_unitary(5, [stream(4)])[0]
         block = u @ np.diag([0.6, 0.3, 0.2, 0.1, -0.2]) @ u.conj().T
         block = (block + block.conj().T) / 2
         with pytest.raises(ValueError, match="negative eigenvalue"):
@@ -468,24 +468,24 @@ class TestDensityMatrixBlockCheck:
 class TestHaarUnitary:
     def test_unitarity(self):
         for d in (1, 2, 5, 16):
-            u = haar_unitary(d, 42)
+            u = haar_unitary(d, [stream(42)])[0]
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
 
     def test_d1_is_pure_phase(self):
-        u = haar_unitary(1, 7)
+        u = haar_unitary(1, [stream(7)])[0]
         assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
     def test_trace_second_moment(self):
         # E |Tr U|^2 = 1 for Haar measure at any d.
         rng = stream(101)
-        vals = [abs(np.trace(haar_unitary(8, rng))) ** 2 for _ in range(1000)]
+        vals = [abs(np.trace(haar_unitary(8, [rng])[0])) ** 2 for _ in range(1000)]
         assert abs(np.mean(vals) - 1.0) < 0.15
 
     def test_moment_agrees_with_scipy_sampler(self):
-        ours = np.mean([abs(np.trace(haar_unitary(6, s))) ** 2 for s in range(500)])
+        ours = np.mean([abs(np.trace(haar_unitary(6, [stream(s)])[0])) ** 2 for s in range(500)])
         theirs = np.mean([abs(np.trace(scipy_haar(6, s))) ** 2 for s in range(500)])
         assert abs(ours - 1.0) < 0.2
         assert abs(theirs - 1.0) < 0.2
 
     def test_seed_determinism(self):
-        assert np.array_equal(haar_unitary(4, 9), haar_unitary(4, 9))
+        assert np.array_equal(haar_unitary(4, [stream(9)])[0], haar_unitary(4, [stream(9)])[0])
