@@ -28,7 +28,6 @@ from .observables import (
     joint_circuit_xxx,
     measure_projective,
     pauli_expectation,
-    pauli_matrix,
 )
 from .experiment import (
     SpinPrep,
@@ -44,7 +43,6 @@ from .experiment import (
 from .decoherence import (
     CoherenceFactor,
     DetectorModel,
-    absorbing_variant,
     blindness_contrast,
     coherence_factor,
     reduced_rho_analytic,

@@ -6,7 +6,8 @@ Configuration precedence: built-in defaults < --config file (JSON, keys
 named like the flags with underscores) < command-line flags.  Unknown keys
 in a config file are rejected.  An unseeded run draws a seed from system
 entropy and records it in the report, so every emitted file is exactly
-reproducible from its own config echo.
+reproducible from its own config echo under the same numpy version and
+BLAS build, and for haar at d >= 99 the same BLAS thread count.
 
 Exit codes: 0 success, 2 malformed config, 3 dimension cap exceeded,
 4 I/O failure.  SGLAB_OUT_DIR sets the default output directory.  A

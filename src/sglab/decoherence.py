@@ -23,6 +23,11 @@ unitaries, reads the full X correlation: ``blindness_contrast`` traces the
 two-branch block against [[0, M^H], [M, 0]] with M = V_up (x) V_dn^H.  The
 readout-only X (identity on the environment) sees only the f-suppressed
 value.
+
+``blindness_contrast`` serves both modes.  It reads the Z-sector
+correlations from the diagonal of the one reduced matrix, and in absorbing
+mode it adds that matrix's diagonal and off-diagonal magnitude as the
+pointer fields.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .experiment import SpinPrep
-from .observables import PAULI, PauliString, pauli_matrix
+from .observables import PAULI
 from .reports import RowTable, RunReport
 from .sampling import check_int, check_seed, spawn, split, stream
 from .tensor import DensityMatrix, DimensionCapError, Register, haar_unitary
@@ -64,6 +69,10 @@ WEIGHT_MODELS = ("uniform", "geometric")
 # Geometric microstate weights: p_mu proportional to GEOMETRIC_RATIO ** mu.
 GEOMETRIC_RATIO = 0.5
 MODES = ("transmitting", "absorbing")
+# Slots of the spin/pointer register in each mode, and its up and down
+# branch words.
+_POINTER = {"transmitting": ((("s", 2), ("r_up", 2), ("r_dn", 2)), 0b110, 0b001),
+            "absorbing": ((("r_up", 2), ("r_dn", 2)), 0b10, 0b01)}
 
 
 @dataclass(frozen=True)
@@ -250,12 +259,8 @@ def reduced_rho_analytic(prep: SpinPrep, det_up: DetectorModel,
     f_up = coherence_factor(det_up).value
     f_dn = coherence_factor(det_dn).value
     cross = prep.alpha * np.conj(prep.beta) * f_up * np.conj(f_dn)
-    if mode == "transmitting":
-        reg = Register((("s", 2), ("r_up", 2), ("r_dn", 2)))
-        upper, lower = 0b110, 0b001
-    else:
-        reg = Register((("r_up", 2), ("r_dn", 2)))
-        upper, lower = 0b10, 0b01
+    slots, upper, lower = _POINTER[mode]
+    reg = Register(slots)
     rho = np.zeros((reg.dim, reg.dim), dtype=complex)
     rho[upper, upper] = abs(prep.alpha) ** 2
     rho[lower, lower] = abs(prep.beta) ** 2
@@ -269,17 +274,6 @@ def _trace_op(rho: np.ndarray, op: np.ndarray) -> float:
     return float(value.real)
 
 
-def _pointer_z_correlations(prep: SpinPrep, det_up: DetectorModel,
-                            det_dn: DetectorModel) -> dict:
-    """Z-sector collapse correlations computed from the reduced matrix."""
-    rho = reduced_rho_analytic(prep, det_up, det_dn)
-    pairs = {"z_s_z_rup": ("s", "r_up"), "z_s_z_rdn": ("s", "r_dn"),
-             "z_rup_z_rdn": ("r_up", "r_dn")}
-    return {key: _trace_op(rho.entries, pauli_matrix(PauliString(dict.fromkeys(pair, "Z")),
-                                                     rho.register))
-            for key, pair in pairs.items() if set(pair) <= set(rho.register.labels)}
-
-
 def blindness_contrast(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorModel) -> dict:
     """Demon vs readout-only X correlation on the post-passage state.
 
@@ -291,6 +285,12 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorMo
     are included whenever the register fits the dimension cap; the
     analytic values have no cap.
 
+    Both modes read every later analytic field from one
+    ``reduced_rho_analytic`` matrix.  Z_a Z_b is +1 on both branch words for
+    (s, r_up) and -1 for the other pairs, so each Z correlation is that sign
+    times the two diagonal entries' sum; absorbing rows end with the pointer
+    fields.
+
     The full values are traces on the branch block of ``rho_t4_full``
     against mode-free operators that swap the branches: [[0, M^H], [M, 0]]
     for the demon, with M = V_up (x) V_dn^H read from the detectors, and
@@ -300,6 +300,9 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorMo
     f_up = coherence_factor(det_up).value
     f_dn = coherence_factor(det_dn).value
     ab = prep.alpha * np.conj(prep.beta)
+    rho = reduced_rho_analytic(prep, det_up, det_dn).entries
+    _, upper, lower = _POINTER[mode]
+    weight = float(rho[upper, upper].real + rho[lower, lower].real)
     report = {
         "mode": mode,
         "d_up": det_up.d,
@@ -309,7 +312,10 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorMo
         "demon_analytic": float(2.0 * np.real(ab)),
         "readout_only_analytic": float(2.0 * np.real(ab * f_up * np.conj(f_dn))),
     }
-    report.update(_pointer_z_correlations(prep, det_up, det_dn))
+    if mode == "transmitting":
+        report["z_s_z_rup"] = weight
+        report["z_s_z_rdn"] = -weight
+    report["z_rup_z_rdn"] = -weight
     # Sized from the slots: a Register refuses more than DIM_CAP entries,
     # and the analytic values have no cap.
     if math.prod(d for _, d in _full_slots(det_up, det_dn)) <= FULL_DIM_CAP:
@@ -319,19 +325,9 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorMo
         zero = np.zeros_like(m)
         report["demon_full"] = _trace_op(block, np.block([[zero, m.conj().T], [m, zero]]))
         report["readout_only_full"] = _trace_op(block, np.kron(PAULI["X"], np.eye(len(m))))
-    return report
-
-
-def absorbing_variant(prep: SpinPrep, det_up: DetectorModel,
-                      det_dn: DetectorModel) -> dict:
-    """Absorbing-detector contrast: 4x4 pointer matrix plus the demon and
-    readout-only X correlations built from the absorbed-atom passage map."""
-    if _check_modes(det_up, det_dn) != "absorbing":
-        raise ValueError("absorbing_variant requires detectors in absorbing mode")
-    report = blindness_contrast(prep, det_up, det_dn)
-    rho = reduced_rho_analytic(prep, det_up, det_dn)
-    report["pointer_diag"] = [float(x) for x in np.real(np.diagonal(rho.entries))]
-    report["pointer_offdiag_abs"] = float(abs(rho.entries[0b10, 0b01]))
+    if mode == "absorbing":
+        report["pointer_diag"] = [float(x) for x in np.real(np.diagonal(rho))]
+        report["pointer_offdiag_abs"] = float(abs(rho[upper, lower]))
     return report
 
 
@@ -343,10 +339,8 @@ def run_detector_mode(prep: SpinPrep, d: int, seed: int, env_model: str,
     _check_mode(mode)
     det_up, det_dn = (DetectorModel.sample(d, rng, env_model, weights_model, mode)
                       for rng in split(seed, 2))
-    if mode == "absorbing":
-        row = absorbing_variant(prep, det_up, det_dn)
-    else:
-        row = blindness_contrast(prep, det_up, det_dn)
+    row = blindness_contrast(prep, det_up, det_dn)
+    if mode == "transmitting":
         row["seed"] = int(seed)
     return RunReport([row], {key: row[key] for key in ("demon_analytic", "readout_only_analytic")})
 

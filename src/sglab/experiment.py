@@ -248,48 +248,41 @@ def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
 _FRESH_ANCILLAE = {labels: basis_state(qubits(*labels), "0" * len(labels))
                    for labels in (("b",), ("c", "b"))}
 
-
-def _extend(state: PureState, labels: tuple[str, ...]) -> PureState:
-    return tensor_product(state, _FRESH_ANCILLAE[labels])
-
-
-def _drop(state: PureState, labels) -> PureState:
-    for label in labels:
-        _, state = factor_out(state, label)
-    return state
+_Z_COPY = ((CNOT, ("s", "c")),)
+# X-basis copy of the spin onto c, then c rotated so X_c carries X_s.
+_X_COPY = ((HADAMARD, ("s",)), (CNOT, ("s", "c")), (HADAMARD, ("s",)), (HADAMARD, ("c",)))
+# Per joint word: the gates that copy the spin onto the copy ancilla c (the
+# downstream re-measurement leg), and the Z-parity controls of
+# joint_circuit_izz, or None for joint_circuit_xxx on (a_up, a_dn, c).
+_JOINT_STEPS = {
+    "IZZ": ((), ("a_up", "a_dn")),
+    "ZZI": (_Z_COPY, ("a_up", "c")),
+    "ZIZ": (_Z_COPY, ("a_dn", "c")),
+    "XXX": (_X_COPY, None),
+}
 
 
 def _joint_step(state: PureState, name: str, rng: np.random.Generator) -> tuple[int, PureState]:
     """One nondestructive joint readout; returns (readout, state on s/a_up/a_dn).
 
-    The spin's contribution to ZZI, ZIZ and XXX is routed through a copy
-    ancilla c (the downstream re-measurement leg), which is uncomputed
-    after the coupling ancilla b is read, so both helpers leave exactly.
+    The copy gates run, the coupling ancilla b is read, and the gates run
+    again in reverse order, which uncomputes the copy (H and CNOT are
+    self-inverse); the ancillae are then factored out, last appended first.
     """
-    if name == "IZZ":
-        work = _extend(state, ("b",))
-        readout, post = joint_circuit_izz(work, rng)
-        return readout, _drop(post, ["b"])
-    if name in ("ZZI", "ZIZ"):
-        work = _extend(state, ("c", "b"))
-        work = apply_operator(work, CNOT, ["s", "c"])  # Z copy of the spin onto c
-        partner = "a_up" if name == "ZZI" else "a_dn"
-        readout, post = joint_circuit_izz(work, rng, controls=(partner, "c"))
-        post = apply_operator(post, CNOT, ["s", "c"])
-        return readout, _drop(post, ["b", "c"])
-    # XXX, the one word left: run_joint_mode admits only JOINT_OBSERVABLES.
-    work = _extend(state, ("c", "b"))
-    # X-basis copy of the spin onto c, then rotate c so X_c carries X_s.
-    work = apply_operator(work, HADAMARD, ["s"])
-    work = apply_operator(work, CNOT, ["s", "c"])
-    work = apply_operator(work, HADAMARD, ["s"])
-    work = apply_operator(work, HADAMARD, ["c"])
-    readout, post = joint_circuit_xxx(work, rng)
-    post = apply_operator(post, HADAMARD, ["c"])
-    post = apply_operator(post, HADAMARD, ["s"])
-    post = apply_operator(post, CNOT, ["s", "c"])
-    post = apply_operator(post, HADAMARD, ["s"])
-    return readout, _drop(post, ["b", "c"])
+    gates, controls = _JOINT_STEPS[name]
+    ancillae = ("c", "b") if gates else ("b",)
+    work = tensor_product(state, _FRESH_ANCILLAE[ancillae])
+    for op, slots in gates:
+        work = apply_operator(work, op, slots)
+    if controls is None:
+        readout, post = joint_circuit_xxx(work, rng)
+    else:
+        readout, post = joint_circuit_izz(work, rng, controls=controls)
+    for op, slots in reversed(gates):
+        post = apply_operator(post, op, slots)
+    for label in reversed(ancillae):
+        _, post = factor_out(post, label)
+    return readout, post
 
 
 def run_joint_mode(prep: SpinPrep, observables, seed: int) -> RunReport:

@@ -16,7 +16,6 @@ Sign conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -83,16 +82,6 @@ class PauliString:
                 raise RegisterError(f"Pauli letter addressed to non-qubit slot {label!r}")
 
 
-def pauli_matrix(obs: PauliString, register: Register) -> np.ndarray:
-    """Dense operator of a Pauli string on the full register."""
-    obs.validate_against(register)
-    factors = []
-    for label, dim in register.slots:
-        letter = obs.letters.get(label, "I")
-        factors.append(PAULI[letter] if dim == 2 else np.eye(dim, dtype=complex))
-    return reduce(np.kron, factors)
-
-
 def apply_pauli(state: PureState, obs: PauliString) -> PureState:
     """O|psi> applied slot by slot (cheap: one 2x2 per non-identity letter)."""
     obs.validate_against(state.register)
@@ -102,9 +91,14 @@ def apply_pauli(state: PureState, obs: PauliString) -> PureState:
     return out
 
 
+def _mean(state: PureState, applied: PureState) -> float:
+    """<psi|O psi> from psi and ``applied`` = O psi."""
+    return float(np.real(np.vdot(state.amplitudes, applied.amplitudes)))
+
+
 def pauli_expectation(state: PureState, obs: PauliString) -> float:
     """<psi|O|psi> of a Pauli string, through ``apply_pauli``."""
-    return float(np.real(np.vdot(state.amplitudes, apply_pauli(state, obs).amplitudes)))
+    return _mean(state, apply_pauli(state, obs))
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,7 @@ def measure_projective(state: PureState, obs: PauliString,
     if obs.is_identity():
         raise ValueError("observable is identically I; nothing to measure")
     applied = apply_pauli(state, obs)  # refuses labels the register lacks
-    mean = float(np.real(np.vdot(state.amplitudes, applied.amplitudes)))
-    p_plus = min(max((1.0 + mean) / 2.0, 0.0), 1.0)
+    p_plus = min(max((1.0 + _mean(state, applied)) / 2.0, 0.0), 1.0)
     if p_plus < BRANCH_EPS:
         eigenvalue = -1
     elif 1.0 - p_plus < BRANCH_EPS:

@@ -3,14 +3,17 @@
 Most of them are deliberately slow and dumb: explicit index loops and a
 third-party Haar sampler, so agreement with the package's vectorized code
 is meaningful.  The rest are the reference algebra that no pipeline runs:
-dense expectations, density matrices of pure states and mixtures, the
-partial trace, the exact t4 expectation, and the detector passage and
-demon operators.  They build on the package's value types and Pauli
-algebra, and the tests compare the pipelines' results against them.
+dense Pauli matrices and expectations, density matrices of pure states
+and mixtures, the partial trace, the exact t4 expectation, and the
+detector passage and demon operators.  They build on the package's value
+types and Pauli algebra, and the tests compare the pipelines' results
+against them.
 """
+from functools import reduce
+
 import numpy as np
 
-from sglab import DensityMatrix, PauliString, pauli_expectation, premeasurement_state
+from sglab import DensityMatrix, PauliString, Register, pauli_expectation, premeasurement_state
 from sglab.experiment import ANCILLA_REGISTER
 from sglab.observables import PAULI
 from sglab.tensor import RegisterError
@@ -60,6 +63,16 @@ def pauli_word_matrix(word: str) -> np.ndarray:
     for letter in word:
         out = np.kron(out, single[letter])
     return out
+
+
+def pauli_matrix(obs: PauliString, register: Register) -> np.ndarray:
+    """Dense operator of a Pauli string on the full register."""
+    obs.validate_against(register)
+    factors = []
+    for label, dim in register.slots:
+        letter = obs.letters.get(label, "I")
+        factors.append(PAULI[letter] if dim == 2 else np.eye(dim, dtype=complex))
+    return reduce(np.kron, factors)
 
 
 def projective_probability(amplitudes: np.ndarray, op: np.ndarray, eigenvalue: int) -> float:

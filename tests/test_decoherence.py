@@ -7,8 +7,8 @@ from sglab import (
     CoherenceFactor,
     DetectorModel,
     DimensionCapError,
+    PauliString,
     SpinPrep,
-    absorbing_variant,
     blindness_contrast,
     coherence_factor,
     reduced_rho_analytic,
@@ -20,7 +20,7 @@ from sglab.observables import PAULI
 from sglab.sampling import split, stream
 from sglab.tensor import DIM_CAP
 
-from oracles import demon_x_operator, detector_passage_unitary, partial_trace
+from oracles import demon_x_operator, detector_passage_unitary, partial_trace, pauli_matrix
 
 
 def dense_rho_t4_full(prep, det_up, det_dn):
@@ -42,6 +42,21 @@ def dense_rho_t4_full(prep, det_up, det_dn):
                    + prep.beta * functools.reduce(np.kron, dn_branch))
             rho += w * np.outer(vec, vec.conj())
     return rho
+
+
+def dense_pointer_fields(prep, det_up, det_dn):
+    """Z correlations traced on the reduced matrix against dense Kronecker
+    Pauli matrices and, in absorbing mode, its diagonal and |rho[10, 01]|."""
+    rho = reduced_rho_analytic(prep, det_up, det_dn)
+    pairs = {"z_s_z_rup": ("s", "r_up"), "z_s_z_rdn": ("s", "r_dn"),
+             "z_rup_z_rdn": ("r_up", "r_dn")}
+    out = {key: float(complex(np.einsum("ij,ji->", rho.entries, pauli_matrix(
+               PauliString(dict.fromkeys(pair, "Z")), rho.register))).real)
+           for key, pair in pairs.items() if set(pair) <= set(rho.register.labels)}
+    if det_up.mode == "absorbing":
+        out["pointer_diag"] = [float(x) for x in np.real(np.diagonal(rho.entries))]
+        out["pointer_offdiag_abs"] = float(abs(rho.entries[0b10, 0b01]))
+    return out
 
 
 def dense_blindness_full(rho, det_up, det_dn):
@@ -264,6 +279,9 @@ class TestBlindnessContrast:
                 rho = rho_t4_full(prep, det_up, det_dn).entries
                 for key, want in dense_blindness_full(rho, det_up, det_dn).items():
                     assert report[key] == want, (d_up, d_dn, prep, key)
+                for key, want in dense_pointer_fields(prep, det_up, det_dn).items():
+                    assert report[key] == want, (d_up, d_dn, prep, key)
+                    assert np.array_equal(np.signbit(report[key]), np.signbit(want)), key
 
     def test_trivial_environment_no_suppression(self):
         det = trivial_detector()
@@ -333,18 +351,11 @@ class TestBlindnessContrast:
         assert report["demon_analytic"] == pytest.approx(want)
         assert report["demon_full"] == pytest.approx(want)
 
-
-class TestAbsorbingVariant:
-    def test_requires_absorbing_mode(self):
-        det = trivial_detector()
-        with pytest.raises(ValueError):
-            absorbing_variant(BALANCED, det, det)
-
-    def test_pointer_structure(self):
+    def test_absorbing_pointer_structure(self):
         streams = split(63, 2)
         det_up = DetectorModel.sample(2, streams[0], mode="absorbing")
         det_dn = DetectorModel.sample(2, streams[1], mode="absorbing")
-        report = absorbing_variant(GENERIC, det_up, det_dn)
+        report = blindness_contrast(GENERIC, det_up, det_dn)
         diag = report["pointer_diag"]
         assert diag[0b10] == pytest.approx(0.36)
         assert diag[0b01] == pytest.approx(0.64)
@@ -354,11 +365,11 @@ class TestAbsorbingVariant:
         assert report["pointer_offdiag_abs"] == pytest.approx(0.48 * abs(f))
         assert abs(report["demon_full"] - report["demon_analytic"]) < 1e-10
 
-    def test_z_correlation_survives(self):
+    def test_absorbing_z_correlation_survives(self):
         streams = split(64, 2)
         det_up = DetectorModel.sample(3, streams[0], mode="absorbing")
         det_dn = DetectorModel.sample(3, streams[1], mode="absorbing")
-        report = absorbing_variant(BALANCED, det_up, det_dn)
+        report = blindness_contrast(BALANCED, det_up, det_dn)
         assert report["z_rup_z_rdn"] == pytest.approx(-1.0, abs=1e-12)
 
 

@@ -4,8 +4,9 @@ Each golden case runs the CLI with a fixed seed and a fixed relative
 ``--out`` (the config echo records that path) and compares the file with
 ``tests/golden/<out>``.  The digest grid does the same for a wider set of
 argv and compares the SHA-256 of each report with ``tests/golden/digests.json``,
-which also records the numpy version and BLAS name it was made under:
-haar reports depend on LAPACK's QR bits, so a digest can move with either.
+which also records the numpy version, BLAS name and BLAS thread count it
+was made under: haar reports depend on LAPACK's QR bits, so a digest can
+move with either, and at d >= 99 with the thread count.
 
 A change that alters report bytes on purpose regenerates the fixtures and
 the digests with
@@ -102,13 +103,20 @@ DIGEST_GRID = {
 
 
 def environment() -> dict:
-    """The numpy version and BLAS name that report bits can depend on."""
+    """The numpy version, BLAS name and BLAS thread count that report bits
+    can depend on.  The thread count is the first of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS that is set, else the number of
+    CPUs the process may run on."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError, AttributeError):  # older numpy: no dict mode
         blas = {}
+    threads = next((os.environ[name] for name in
+                    ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+                    if os.environ.get(name)), len(os.sched_getaffinity(0)))
     return {"numpy": np.__version__,
-            "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip()}
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip(),
+            "blas_threads": int(threads)}
 
 
 def run_report(argv: list[str]) -> bytes:

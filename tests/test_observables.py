@@ -22,12 +22,17 @@ from sglab.observables import (
     joint_circuit_xxx,
     measure_projective,
     pauli_expectation,
-    pauli_matrix,
 )
 from sglab.sampling import stream
 from sglab.tensor import RegisterError
 
-from oracles import dense_expectation, pauli_word_matrix, projective_probability, random_state
+from oracles import (
+    dense_expectation,
+    pauli_matrix,
+    pauli_word_matrix,
+    projective_probability,
+    random_state,
+)
 
 REG3 = qubits("s", "a_up", "a_dn")
 
