@@ -351,7 +351,17 @@ class TestBlindnessContrast:
         assert report["demon_analytic"] == pytest.approx(want)
         assert report["demon_full"] == pytest.approx(want)
 
-    def test_absorbing_pointer_structure(self):
+
+class TestAbsorbingVariant:
+    """blindness_contrast on absorbing detectors: the pointer fields."""
+
+    def test_requires_absorbing_mode(self):
+        det = trivial_detector()
+        assert "pointer_diag" not in blindness_contrast(BALANCED, det, det)
+        with pytest.raises(ValueError):
+            blindness_contrast(BALANCED, det, DetectorModel.sample(2, 1, mode="absorbing"))
+
+    def test_pointer_structure(self):
         streams = split(63, 2)
         det_up = DetectorModel.sample(2, streams[0], mode="absorbing")
         det_dn = DetectorModel.sample(2, streams[1], mode="absorbing")
@@ -365,7 +375,7 @@ class TestBlindnessContrast:
         assert report["pointer_offdiag_abs"] == pytest.approx(0.48 * abs(f))
         assert abs(report["demon_full"] - report["demon_analytic"]) < 1e-10
 
-    def test_absorbing_z_correlation_survives(self):
+    def test_z_correlation_survives(self):
         streams = split(64, 2)
         det_up = DetectorModel.sample(3, streams[0], mode="absorbing")
         det_dn = DetectorModel.sample(3, streams[1], mode="absorbing")
