@@ -184,25 +184,18 @@ def coherence_factor(det: DetectorModel) -> CoherenceFactor:
     return CoherenceFactor(complex(det.weights @ np.diagonal(det.V)))
 
 
-def _full_slots(det_up: DetectorModel, det_dn: DetectorModel) -> tuple:
-    slots = (("r_up", 2), ("e_up", det_up.d), ("r_dn", 2), ("e_dn", det_dn.d))
-    if det_up.mode == "transmitting":
-        slots = (("s", 2),) + slots
-    return slots
-
-
 def _check_modes(det_up: DetectorModel, det_dn: DetectorModel) -> str:
     if det_up.mode != det_dn.mode:
         raise ValueError("both detectors must share one mode")
     return det_up.mode
 
 
-def _branch_support(mode: str, d_up: int, d_dn: int) -> np.ndarray:
-    """Register indices of the down branch (s, r_up, r_dn) = (0, 0, 1), then
-    the up branch (1, 1, 0), each over (e_up, e_dn) in increasing order."""
-    ready = 2 * d_dn * np.arange(d_up)[:, None] + np.arange(d_dn)
-    fired_up = (6 if mode == "transmitting" else 2) * d_up * d_dn
-    return np.concatenate([(ready + d_dn).ravel(), (ready + fired_up).ravel()])
+def _over_full_cap(det_up: DetectorModel, det_dn: DetectorModel) -> int:
+    """0 when the full path runs, else the dimension that stops it: the
+    spin/pointer register's times d_up * d_dn, when that exceeds
+    FULL_DIM_CAP (d > 8 transmitting, d > 11 absorbing)."""
+    dim = math.prod(n for _, n in _POINTER[det_up.mode][0]) * det_up.d * det_dn.d
+    return dim if dim > FULL_DIM_CAP else 0
 
 
 def rho_t4_full(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorModel) -> DensityMatrix:
@@ -210,24 +203,23 @@ def rho_t4_full(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorModel) ->
 
     Brute-force oracle path: weight p_mu_up * p_mu_dn on each basis pair of
     initial microstates, each evolved into the two-branch pure state.
-    Capped at total dimension 512 (environments up to d=8 transmitting).
+    Refused, like the full register it stands for, above dimension 512.
 
-    rho lives on the principal block of ``_branch_support``: two d_up x d_dn
-    arrays over (e_up, e_dn).  Each (mu, nu) vector is nonzero only on
+    The passage leaves the pointer in one of two words, so the matrix is
+    given on the register (branch, e_up, e_dn): branch 0 is the down word
+    (s, r_up, r_dn) = (0, 0, 1), branch 1 the up word (1, 1, 0), with s
+    absent in absorbing mode.  Each (mu, nu) vector is nonzero only on
     down-branch row mu, where it holds beta V_dn[:, nu], and on up-branch
     column nu, where it holds alpha V_up[:, mu].  Its weighted outer
-    product is added on those d_dn + d_up rows and columns of the block, in
-    (mu, nu) order, and the block is scattered into zeros.  Every entry has
-    the bits of the dense sum over Kronecker-product vectors: the terms left
-    out are +-0, and adding +-0 to a sum that starts at +0 changes none of
-    its bits.
+    product is added on those d_dn + d_up rows and columns, in (mu, nu)
+    order.  Every entry has the bits of the dense sum over
+    Kronecker-product vectors on the full register, whose entries off the
+    two words are exact zeros: the terms left out are +-0, and adding +-0
+    to a sum that starts at +0 changes none of its bits.
     """
-    mode = _check_modes(det_up, det_dn)
-    reg = Register(_full_slots(det_up, det_dn))
-    if reg.dim > FULL_DIM_CAP:
-        raise DimensionCapError(
-            f"full density matrix dimension {reg.dim} exceeds cap {FULL_DIM_CAP}"
-        )
+    _check_modes(det_up, det_dn)
+    if dim := _over_full_cap(det_up, det_dn):
+        raise DimensionCapError(f"full density matrix dimension {dim} exceeds cap {FULL_DIM_CAP}")
     d_up, d_dn = det_up.d, det_dn.d
     n = d_up * d_dn
     block = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -240,10 +232,7 @@ def rho_t4_full(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorModel) ->
             vec = np.concatenate([prep.beta * det_dn.V[:, nu], fired_up])
             w = det_up.weights[mu] * det_dn.weights[nu]
             block[np.ix_(rows, rows)] += w * np.outer(vec, vec.conj())
-    support = _branch_support(mode, d_up, d_dn)
-    rho = np.zeros((reg.dim, reg.dim), dtype=complex)
-    rho[np.ix_(support, support)] = block
-    return DensityMatrix(reg, rho)
+    return DensityMatrix(Register((("branch", 2), ("e_up", d_up), ("e_dn", d_dn))), block)
 
 
 def reduced_rho_analytic(prep: SpinPrep, det_up: DetectorModel,
@@ -291,10 +280,11 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorMo
     times the two diagonal entries' sum; absorbing rows end with the pointer
     fields.
 
-    The full values are traces on the branch block of ``rho_t4_full``
-    against mode-free operators that swap the branches: [[0, M^H], [M, 0]]
-    for the demon, with M = V_up (x) V_dn^H read from the detectors, and
-    X (x) I for readout-only.  They have the bits of dense register traces.
+    The full values are traces of the (branch, e_up, e_dn) matrix of
+    ``rho_t4_full`` against mode-free operators that swap the branches:
+    [[0, M^H], [M, 0]] for the demon, with M = V_up (x) V_dn^H read from
+    the detectors, and X (x) I for readout-only.  They have the bits of
+    dense traces on the full register.
     """
     mode = _check_modes(det_up, det_dn)
     f_up = coherence_factor(det_up).value
@@ -316,11 +306,8 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorMo
         report["z_s_z_rup"] = weight
         report["z_s_z_rdn"] = -weight
     report["z_rup_z_rdn"] = -weight
-    # Sized from the slots: a Register refuses more than DIM_CAP entries,
-    # and the analytic values have no cap.
-    if math.prod(d for _, d in _full_slots(det_up, det_dn)) <= FULL_DIM_CAP:
-        support = _branch_support(mode, det_up.d, det_dn.d)
-        block = rho_t4_full(prep, det_up, det_dn).entries[np.ix_(support, support)]
+    if not _over_full_cap(det_up, det_dn):
+        block = rho_t4_full(prep, det_up, det_dn).entries
         m = np.kron(det_up.V, det_dn.V.conj().T)
         zero = np.zeros_like(m)
         report["demon_full"] = _trace_op(block, np.block([[zero, m.conj().T], [m, zero]]))

@@ -185,13 +185,7 @@ class EnsembleState:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix on a register.
 
-    The hermiticity and eigenvalue checks run on the principal block of the
-    indices whose row or column holds a nonzero entry (a NaN counts as
-    nonzero).  That is the same test as on the whole matrix: every entry
-    outside the block is 0 in both the matrix and its adjoint, so the
-    hermiticity maximum is unchanged, and the spectrum is the block's plus
-    exact zeros, which never fall below ``EIGENVALUE_FLOOR``.  The trace
-    check reads the whole matrix.
+    Each check reads the whole matrix, so a NaN entry anywhere is refused.
     """
 
     register: Register
@@ -202,15 +196,12 @@ class DensityMatrix:
         d = self.register.dim
         if mat.shape != (d, d):
             raise RegisterError(f"entries shape {mat.shape} != ({d}, {d})")
-        nonzero = mat != 0
-        support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-        block = mat[np.ix_(support, support)]
-        if not np.max(np.abs(block - block.conj().T), initial=0.0) <= HERMITICITY_TOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
-        if float(np.linalg.eigvalsh(block).min()) < EIGENVALUE_FLOOR:
+        if float(np.linalg.eigvalsh(mat).min()) < EIGENVALUE_FLOOR:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
         mat = mat.copy()
         mat.flags.writeable = False

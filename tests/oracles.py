@@ -4,10 +4,10 @@ Most of them are deliberately slow and dumb: explicit index loops and a
 third-party Haar sampler, so agreement with the package's vectorized code
 is meaningful.  The rest are the reference algebra that no pipeline runs:
 dense Pauli matrices and expectations, density matrices of pure states
-and mixtures, the partial trace, the exact t4 expectation, and the
-detector passage and demon operators.  They build on the package's value
-types and Pauli algebra, and the tests compare the pipelines' results
-against them.
+and mixtures, the partial trace, the exact t4 expectation, the full
+detector register's branch layout, and the detector passage and demon
+operators.  They build on the package's value types and Pauli algebra,
+and the tests compare the pipelines' results against them.
 """
 from functools import reduce
 
@@ -158,6 +158,27 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     reduced = np.einsum(tensor, row + col, out_idx)
     d_keep = int(np.prod([dims[a] for a in keep_axes], dtype=int))
     return DensityMatrix(reg.subregister(keep), reduced.reshape(d_keep, d_keep))
+
+
+def branch_support(mode: str, d_up: int, d_dn: int) -> np.ndarray:
+    """Full-register indices of the down branch (s, r_up, r_dn) = (0, 0, 1),
+    then the up branch (1, 1, 0), each over (e_up, e_dn) in increasing order."""
+    ready = 2 * d_dn * np.arange(d_up)[:, None] + np.arange(d_dn)
+    fired_up = (6 if mode == "transmitting" else 2) * d_up * d_dn
+    return np.concatenate([(ready + d_dn).ravel(), (ready + fired_up).ravel()])
+
+
+def embed_full(rho: DensityMatrix, mode: str) -> DensityMatrix:
+    """The (branch, e_up, e_dn) matrix of ``rho_t4_full`` scattered into zeros
+    on the full register (s, r_up, e_up, r_dn, e_dn), without s in absorbing
+    mode, at ``branch_support``."""
+    _, d_up, d_dn = rho.register.dims
+    slots = (("r_up", 2), ("e_up", d_up), ("r_dn", 2), ("e_dn", d_dn))
+    reg = Register(((("s", 2),) if mode == "transmitting" else ()) + slots)
+    support = branch_support(mode, d_up, d_dn)
+    full = np.zeros((reg.dim, reg.dim), dtype=complex)
+    full[np.ix_(support, support)] = rho.entries
+    return DensityMatrix(reg, full)
 
 
 def expectation_t4(prep, word: str, phase: float = 0.0) -> float:

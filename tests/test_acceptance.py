@@ -25,7 +25,7 @@ from sglab.cli import main
 from sglab.sampling import split
 from sglab.tensor import PureState
 
-from oracles import expectation_t4, partial_trace
+from oracles import embed_full, expectation_t4, partial_trace
 
 BALANCED = SpinPrep.balanced()
 
@@ -124,7 +124,7 @@ def test_criterion_08_reduced_matrix_oracle(announce):
             for k in range(50):
                 det_up = DetectorModel.sample(d, streams[2 * k], mode=mode)
                 det_dn = DetectorModel.sample(d, streams[2 * k + 1], mode=mode)
-                full = rho_t4_full(prep, det_up, det_dn)
+                full = embed_full(rho_t4_full(prep, det_up, det_dn), mode)
                 reduced = partial_trace(full, keep)
                 analytic = reduced_rho_analytic(prep, det_up, det_dn)
                 worst = max(worst, float(np.max(np.abs(reduced.entries

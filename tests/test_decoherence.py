@@ -15,12 +15,19 @@ from sglab import (
     rho_t4_full,
     sweep_suppression,
 )
-from sglab.decoherence import ENV_DIM_CAP, FULL_DIM_CAP, MODES, _branch_support
+from sglab.decoherence import ENV_DIM_CAP, FULL_DIM_CAP, MODES
 from sglab.observables import PAULI
 from sglab.sampling import split, stream
 from sglab.tensor import DIM_CAP
 
-from oracles import demon_x_operator, detector_passage_unitary, partial_trace, pauli_matrix
+from oracles import (
+    branch_support,
+    demon_x_operator,
+    detector_passage_unitary,
+    embed_full,
+    partial_trace,
+    pauli_matrix,
+)
 
 
 def dense_rho_t4_full(prep, det_up, det_dn):
@@ -197,7 +204,7 @@ class TestDensityMatrices:
     def test_full_matrix_trace_and_cap(self):
         det = DetectorModel.sample(2, 1)
         rho = rho_t4_full(BALANCED, det, det)
-        assert rho.register.dim == 2 * 4 * 4
+        assert rho.register.dim == 2 * 2 * 2
         assert np.trace(rho.entries) == pytest.approx(1.0)
         big = DetectorModel.sample(16, 1)
         with pytest.raises(DimensionCapError):
@@ -214,14 +221,14 @@ class TestDensityMatrices:
             streams = split(70 + k, 2)
             det_up = DetectorModel.sample(d_up, streams[0], env_model, weights_model, mode=mode)
             det_dn = DetectorModel.sample(d_dn, streams[1], env_model, weights_model, mode=mode)
-            got = rho_t4_full(COMPLEX, det_up, det_dn).entries
+            got = embed_full(rho_t4_full(COMPLEX, det_up, det_dn), mode).entries
             want = dense_rho_t4_full(COMPLEX, det_up, det_dn)
             assert got.tobytes() == want.tobytes(), (d_up, d_dn)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_branch_support_is_the_dense_nonzero_columns(self, mode):
         for k, (d_up, d_dn) in enumerate(FULL_D_PAIRS[mode]):
-            support = _branch_support(mode, d_up, d_dn)
+            support = branch_support(mode, d_up, d_dn)
             assert support.size == 2 * d_up * d_dn
             assert np.all(np.diff(support) > 0)
             streams = split(80 + k, 2)
@@ -259,7 +266,7 @@ class TestDensityMatrices:
         for k in range(10):
             det_up = DetectorModel.sample(d, streams[2 * k], mode=mode)
             det_dn = DetectorModel.sample(d, streams[2 * k + 1], mode=mode)
-            full = rho_t4_full(GENERIC, det_up, det_dn)
+            full = embed_full(rho_t4_full(GENERIC, det_up, det_dn), mode)
             reduced = partial_trace(full, keep)
             analytic = reduced_rho_analytic(GENERIC, det_up, det_dn)
             assert np.max(np.abs(reduced.entries - analytic.entries)) < 1e-10
@@ -276,7 +283,7 @@ class TestBlindnessContrast:
             det_dn = DetectorModel.sample(d_dn, streams[1], env_model, weights_model, mode=mode)
             for prep in (COMPLEX, ONLY_DOWN, ONLY_UP):
                 report = blindness_contrast(prep, det_up, det_dn)
-                rho = rho_t4_full(prep, det_up, det_dn).entries
+                rho = embed_full(rho_t4_full(prep, det_up, det_dn), mode).entries
                 for key, want in dense_blindness_full(rho, det_up, det_dn).items():
                     assert report[key] == want, (d_up, d_dn, prep, key)
                 for key, want in dense_pointer_fields(prep, det_up, det_dn).items():
@@ -333,6 +340,13 @@ class TestBlindnessContrast:
         report = blindness_contrast(GENERIC, det_up, det_dn)
         assert ("demon_full" in report) is has_full
         assert ("readout_only_full" in report) is has_full
+        if has_full:
+            rho = rho_t4_full(GENERIC, det_up, det_dn)
+            assert rho.register.slots == (("branch", 2), ("e_up", d), ("e_dn", d))
+            assert rho.register.dim == 2 * d * d
+        else:
+            with pytest.raises(DimensionCapError):
+                rho_t4_full(GENERIC, det_up, det_dn)
         assert "demon_analytic" in report and "readout_only_analytic" in report
 
     def test_analytic_values_beyond_the_register_cap(self):

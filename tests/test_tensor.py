@@ -418,7 +418,8 @@ class TestDensityMatrix:
 
 
 class TestDensityMatrixBlockCheck:
-    """The checks run on the block of nonzero rows and columns only."""
+    """A PSD block scattered into zeros: the whole-matrix checks accept it,
+    and refuse a bad entry inside the block or anywhere outside it."""
 
     REG = qubits("a", "b", "c", "d")
     SUPPORT = [1, 4, 6, 11, 15]
