@@ -274,8 +274,9 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorMo
     are included whenever the register fits the dimension cap; the
     analytic values have no cap.
 
-    Both modes read every later analytic field from one
-    ``reduced_rho_analytic`` matrix.  Z_a Z_b is +1 on both branch words for
+    Both modes read every analytic field after ``demon_analytic`` from one
+    ``reduced_rho_analytic`` matrix.  ``readout_only_analytic`` is 2 Re of
+    its upper-lower entry.  Z_a Z_b is +1 on both branch words for
     (s, r_up) and -1 for the other pairs, so each Z correlation is that sign
     times the two diagonal entries' sum; absorbing rows end with the pointer
     fields.
