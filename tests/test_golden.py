@@ -6,7 +6,11 @@ Each golden case runs the CLI with a fixed seed and a fixed relative
 argv and compares the SHA-256 of each report with ``tests/golden/digests.json``,
 which also records the numpy version, BLAS name and BLAS thread count it
 was made under: haar reports depend on LAPACK's QR bits, so a digest can
-move with either, and at d >= 99 with the thread count.
+move with either, and at d >= 99 with the thread count.  So the grid runs
+in a fresh interpreter with the BLAS thread variables set to the recorded
+count, whatever the count of the test process.  The haar argv whose bits
+move with the count also have their one-thread digests recorded, and a
+one-thread interpreter checks them, so the sensitivity stays in view.
 
 A change that alters report bytes on purpose regenerates the fixtures and
 the digests with
@@ -21,7 +25,9 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +37,9 @@ from sglab.cli import main
 
 GOLDEN = Path(__file__).resolve().with_name("golden")
 DIGESTS = GOLDEN / "digests.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
+# OpenBLAS reads the first of these that is set, once, when numpy loads.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 CASES = {
     "local": ["local", "--shots", "40", "--basis", "X", "--alpha-re", "0.6",
@@ -55,6 +64,9 @@ FIXTURES = [(case, fmt, f"{case}.{ext}") for case in CASES for fmt, ext in FORMA
 UNBALANCED = ["--alpha-re", "0.6", "--beta-re", "0", "--beta-im", "0.8"]
 ZERO_ALPHA = ["--alpha-re", "0", "--beta-re", "1"]
 ZERO_BETA = ["--alpha-re", "1", "--beta-re", "0"]
+# Haar stacks of one matrix each.  At d >= 99 LAPACK's QR bits, and so these
+# reports', differ between one BLAS thread and two.
+HAAR_130 = ["sweep", "--d", "130", "--trials", "2", "--env-model", "haar", "--seed", "44"]
 # Local runs straddle the report's 16384-row chunk bound and span several
 # chunks; d = 8 is the largest transmitting d with full values and 11 the
 # largest absorbing one, and d = 9 has none.
@@ -91,8 +103,7 @@ _GRID_RUNS = [
     for pipeline, d in (("blindness", "130"), ("absorbing", "130"), ("absorbing", "12"))
     for env in ("phases", "identity")
 ] + [
-    # Haar stacks of one matrix each.
-    ["sweep", "--d", "130", "--trials", "2", "--env-model", "haar", "--seed", "44"],
+    HAAR_130,
 ]
 # The digest grid: each run in both formats, keyed by its argv.
 DIGEST_GRID = {
@@ -100,6 +111,8 @@ DIGEST_GRID = {
     for run in _GRID_RUNS for fmt, ext in FORMATS.items()
     for argv in [[*run, "--format", fmt, "--out", f"report.{ext}"]]
 }
+# The grid argv whose digests are also recorded at one BLAS thread.
+ONE_THREAD = [key for key, argv in DIGEST_GRID.items() if argv[:len(HAAR_130)] == HAAR_130]
 
 
 def environment() -> dict:
@@ -111,9 +124,8 @@ def environment() -> dict:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError, AttributeError):  # older numpy: no dict mode
         blas = {}
-    threads = next((os.environ[name] for name in
-                    ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-                    if os.environ.get(name)), len(os.sched_getaffinity(0)))
+    threads = next((os.environ[name] for name in THREAD_VARS if os.environ.get(name)),
+                   len(os.sched_getaffinity(0)))
     return {"numpy": np.__version__,
             "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip(),
             "blas_threads": int(threads)}
@@ -131,10 +143,21 @@ def render(case: str, fmt: str, name: str) -> bytes:
     return run_report([*CASES[case], "--format", fmt, "--out", name])
 
 
-def digests() -> dict[str, str]:
-    """SHA-256 of each digest-grid report, made in the current directory."""
-    return {key: hashlib.sha256(run_report(argv)).hexdigest()
-            for key, argv in DIGEST_GRID.items()}
+def digests(keys) -> dict[str, str]:
+    """SHA-256 of the report of each digest-grid argv in ``keys``, made in the
+    current directory."""
+    return {key: hashlib.sha256(run_report(DIGEST_GRID[key])).hexdigest() for key in keys}
+
+
+def digests_at(threads: int, keys, cwd) -> dict[str, str]:
+    """``digests(keys)`` made in ``cwd`` by a fresh interpreter whose BLAS
+    thread variables are all set to ``threads``."""
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, str(threads)),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, __file__, "--digests", *keys], cwd=cwd, env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
 
 
 @pytest.mark.parametrize("case,fmt,name", FIXTURES, ids=[name for _, _, name in FIXTURES])
@@ -143,29 +166,40 @@ def test_report_matches_golden_fixture(case, fmt, name, tmp_path, monkeypatch):
     assert render(case, fmt, name) == (GOLDEN / name).read_bytes()
 
 
-def test_report_digests_match(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_report_digests_match(tmp_path):
     recorded = json.loads(DIGESTS.read_text())
     assert list(recorded["digests"]) == list(DIGEST_GRID)
-    got = digests()
+    threads = recorded["environment"]["blas_threads"]
+    got = digests_at(threads, DIGEST_GRID, tmp_path)
     moved = [key for key, digest in recorded["digests"].items() if got[key] != digest]
+    running = {**environment(), "blas_threads": threads}
     assert not moved, (f"{len(moved)} report digests moved; recorded under "
-                       f"{recorded['environment']}, running under {environment()}: {moved}")
+                       f"{recorded['environment']}, running under {running}: {moved}")
 
 
-if __name__ == "__main__":
+def test_thread_sensitive_digests_match_at_one_thread(tmp_path):
+    recorded = json.loads(DIGESTS.read_text())["one_thread"]
+    assert list(recorded) == ONE_THREAD
+    assert digests_at(1, ONE_THREAD, tmp_path) == recorded
+
+
+if __name__ == "__main__" and sys.argv[1:2] == ["--digests"]:
+    print(json.dumps(digests(sys.argv[2:])))
+elif __name__ == "__main__":
     os.chdir(GOLDEN)
     for case, fmt, name in FIXTURES:
         render(case, fmt, name)
         print(GOLDEN / name, file=sys.stderr)
-    old = json.loads(DIGESTS.read_text())["digests"] if DIGESTS.exists() else {}
-    new = digests()
-    for ext in FORMATS.values():
-        os.remove(f"report.{ext}")
-    DIGESTS.write_text(json.dumps({"environment": environment(), "digests": new}, indent=1) + "\n")
-    for key, digest in new.items():
-        if key not in old:
-            print(f"digest added: {key}", file=sys.stderr)
-        elif old[key] != digest:
-            print(f"digest moved: {key}", file=sys.stderr)
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    env = environment()
+    with tempfile.TemporaryDirectory() as scratch:
+        new = {"digests": digests_at(env["blas_threads"], DIGEST_GRID, scratch),
+               "one_thread": digests_at(1, ONE_THREAD, scratch)}
+    DIGESTS.write_text(json.dumps({"environment": env, **new}, indent=1) + "\n")
+    for part, table in new.items():
+        for key, digest in table.items():
+            if key not in old.get(part, {}):
+                print(f"{part} digest added: {key}", file=sys.stderr)
+            elif old[part][key] != digest:
+                print(f"{part} digest moved: {key}", file=sys.stderr)
     print(DIGESTS, file=sys.stderr)
