@@ -322,14 +322,14 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorMo
 def run_detector_mode(prep: SpinPrep, d: int, seed: int, env_model: str,
                       weights_model: str, mode: str) -> RunReport:
     """Demon vs readout-only contrast of one detector pair of dimension d, drawn
-    from child streams 0 (up) and 1 (down) of ``seed`` after every gate and the cap."""
+    from child streams 0 (up) and 1 (down) of ``seed`` after every gate and the
+    cap; the row ends with that ``seed`` in both modes."""
     _under_cap(check_sampling(env_model, weights_model, [d]))
     _check_mode(mode)
     det_up, det_dn = (DetectorModel.sample(d, rng, env_model, weights_model, mode)
                       for rng in split(seed, 2))
     row = blindness_contrast(prep, det_up, det_dn)
-    if mode == "transmitting":
-        row["seed"] = int(seed)
+    row["seed"] = int(seed)
     return RunReport([row], {key: row[key] for key in ("demon_analytic", "readout_only_analytic")})
 
 
