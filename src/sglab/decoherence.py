@@ -203,7 +203,8 @@ def rho_t4_full(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorModel) ->
 
     Brute-force oracle path: weight p_mu_up * p_mu_dn on each basis pair of
     initial microstates, each evolved into the two-branch pure state.
-    Refused, like the full register it stands for, above dimension 512.
+    Refused where the full register it stands for, the spin/pointer slots
+    times both environments, exceeds dimension 512.
 
     The passage leaves the pointer in one of two words, so the matrix is
     given on the register (branch, e_up, e_dn): branch 0 is the down word
