@@ -64,6 +64,7 @@ FIXTURES = [(case, fmt, f"{case}.{ext}") for case in CASES for fmt, ext in FORMA
 UNBALANCED = ["--alpha-re", "0.6", "--beta-re", "0", "--beta-im", "0.8"]
 ZERO_ALPHA = ["--alpha-re", "0", "--beta-re", "1"]
 ZERO_BETA = ["--alpha-re", "1", "--beta-re", "0"]
+COMPLEX = ["--alpha-re", "0", "--alpha-im", "0.6", "--beta-re", "0.8"]
 # Haar stacks of one matrix each.  At d >= 99 LAPACK's QR bits, and so these
 # reports', differ between one BLAS thread and two.
 HAAR_130 = ["sweep", "--d", "130", "--trials", "2", "--env-model", "haar", "--seed", "44"]
@@ -76,6 +77,15 @@ _GRID_RUNS = [
     for shots in (1, 16383, 16384, 16385, 70001)
 ] + [
     ["joint", "--observables", "IZZ,XXX,ZZI,ZIZ,XXX", *UNBALANCED, "--seed", "32"],
+] + [
+    # Not XXX eigenstates: Born draws, projections and renormalization all
+    # run at every step, on a prep with a non-real amplitude.
+    ["joint", "--observables", "XXX,IZZ,XXX,ZZI,XXX,ZIZ,XXX,IZZ,ZZI,ZIZ,XXX,XXX", *COMPLEX,
+     "--seed", seed]
+    for seed in ("45", "46")
+] + [
+    ["joint", "--observables", "ZZI,ZIZ", *COMPLEX, "--seed", "47"],
+    ["condition", *COMPLEX, "--seed", "48"],
     ["condition", "--alpha-re", "0.8", "--beta-re", "0.6", "--seed", "33"],
     ["ordinary", "--alpha-re", "0.6", "--beta-re", "0.8", "--seed", "34"],
     ["sweep", "--d", "1,2,5", "--trials", "40", *UNBALANCED, "--seed", "35"],
