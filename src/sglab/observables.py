@@ -129,7 +129,7 @@ def measure_projective(state: PureState, obs: PauliString,
         eigenvalue = +1 if rng.random() < p_plus else -1
     probability = p_plus if eigenvalue == +1 else 1.0 - p_plus
     projected = (state.amplitudes + eigenvalue * applied.amplitudes) / 2.0
-    post = PureState(state.register, projected, normalized=False).normalize()
+    post = PureState._adopt(state.register, projected).normalize()
     return MeasurementOutcome(eigenvalue, probability, post)
 
 

@@ -12,7 +12,7 @@ enters this module except through explicit numpy Generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -25,6 +25,10 @@ from .sampling import check_int
 DIM_CAP = 2**16
 
 NORM_TOL = 1e-12
+# Bound of each register-lookup cache: subregisters, tensor-product
+# registers and apply_operator's target axes.  An entry is a few small
+# tuples; the pipelines use a few dozen.
+LOOKUP_CACHE_SIZE = 128
 # factor_out refuses a slot whose second Schmidt value exceeds this.
 SCHMIDT_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
@@ -77,7 +81,12 @@ class Register:
         return self.slots[self.axis(label)][1]
 
     def subregister(self, labels) -> "Register":
-        return Register(tuple((l, self.dim_of(l)) for l in labels))
+        return _subregister(self, tuple(labels))
+
+
+@lru_cache(maxsize=LOOKUP_CACHE_SIZE)
+def _subregister(register: Register, labels: tuple[str, ...]) -> Register:
+    return Register(tuple((l, register.dim_of(l)) for l in labels))
 
 
 def qubits(*labels: str) -> Register:
@@ -89,18 +98,23 @@ def qubits(*labels: str) -> Register:
 class PureState:
     """Normalized complex amplitude vector over a register.
 
-    Construction computes the norm once and validates it to 1e-12 unless
-    ``normalized=False`` (used for intermediate projector output).  After
-    construction ``normalized`` records whether the norm is within that
-    tolerance of 1, and ``norm()`` returns the stored value.
+    Public construction copies the amplitudes, computes their norm and
+    checks it to 1e-12 unless ``normalized=False`` (used for intermediate
+    projector output).  States this module derives itself (gate and
+    projector output, products, factors and ``normalize()`` results) adopt
+    their freshly made array without a copy and compute the norm on the
+    first ``norm()`` or ``normalized``, with the same ``np.linalg.norm``.
+    Either way the amplitudes are read-only, ``norm()`` returns one stored
+    value, and ``normalized`` records whether it is within the tolerance
+    of 1.  ``normalize()`` checks the norm of its result.
     """
 
     register: Register
     amplitudes: np.ndarray
-    normalized: bool = True
-    _norm: float = field(init=False, repr=False, compare=False)
+    normalized: InitVar[bool] = True
+    _norm = None  # not yet computed
 
-    def __post_init__(self):
+    def __post_init__(self, normalized):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape[0] != self.register.dim:
             raise RegisterError(
@@ -109,21 +123,33 @@ class PureState:
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        norm = float(np.linalg.norm(amps))
-        unit = abs(norm - 1.0) <= NORM_TOL
-        if self.normalized and not unit:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
-        object.__setattr__(self, "_norm", norm)
-        object.__setattr__(self, "normalized", unit)
+        unit = self.normalized  # public construction always computes the norm
+        if normalized and not unit:
+            raise _norm_error(self.norm())
+
+    @classmethod
+    def _adopt(cls, register: Register, amps: np.ndarray) -> "PureState":
+        """A state on ``amps``, a fresh 1-D complex array of ``register.dim``
+        entries that nothing else holds: no copy, no check, norm on demand."""
+        amps.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "register", register)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
 
     def norm(self) -> float:
+        if self._norm is None:
+            object.__setattr__(self, "_norm", float(np.linalg.norm(self.amplitudes)))
         return self._norm
 
     def normalize(self) -> "PureState":
         n = self.norm()
         if n < 1e-14:
             raise ValueError("cannot normalize a (numerically) zero state")
-        return PureState(self.register, self.amplitudes / n)
+        out = PureState._adopt(self.register, self.amplitudes / n)
+        if not out.normalized:
+            raise _norm_error(out.norm())
+        return out
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -135,6 +161,15 @@ class PureState:
 
     def fidelity(self, other: "PureState") -> float:
         return abs(self.overlap(other)) ** 2
+
+
+# The dataclass has read ``normalized``'s default for __init__; on a state
+# it answers whether the norm is within NORM_TOL of 1.
+PureState.normalized = property(lambda self: abs(self.norm() - 1.0) <= NORM_TOL)
+
+
+def _norm_error(norm: float) -> ValueError:
+    return ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
 
 
 def basis_state(register: Register, word) -> PureState:
@@ -210,13 +245,17 @@ class DensityMatrix:
 
 def tensor_product(a: PureState, b: PureState) -> PureState:
     """Kronecker product of two states on label-disjoint registers."""
-    collision = set(a.register.labels) & set(b.register.labels)
+    # np.outer is np.kron's multiply on 1-D inputs without its shape handling.
+    return PureState._adopt(_joined(a.register, b.register),
+                            np.outer(a.amplitudes, b.amplitudes).reshape(-1))
+
+
+@lru_cache(maxsize=LOOKUP_CACHE_SIZE)
+def _joined(a: Register, b: Register) -> Register:
+    collision = set(a.labels) & set(b.labels)
     if collision:
         raise RegisterError(f"label collision in tensor product: {sorted(collision)}")
-    reg = Register(a.register.slots + b.register.slots)
-    # np.outer is np.kron's multiply on 1-D inputs without its shape handling.
-    return PureState(reg, np.outer(a.amplitudes, b.amplitudes).reshape(-1),
-                     normalized=a.normalized and b.normalized)
+    return Register(a.slots + b.slots)
 
 
 class _Plan(NamedTuple):
@@ -277,37 +316,47 @@ def apply_operator(state: PureState, op: np.ndarray, targets) -> PureState:
     check every amplitude against that form with ``==``.
     """
     reg = state.register
-    targets = list(targets)
-    axes = tuple(reg.axis(t) for t in targets)
-    if len(set(axes)) != len(axes):
-        raise RegisterError(f"repeated target label in {targets}")
+    axes, d_t = _target_axes(reg, tuple(targets))
     op = np.asarray(op, dtype=complex)
-    d_t = math.prod(reg.dims[a] for a in axes)
     if op.shape != (d_t, d_t):
         raise RegisterError(
             f"operator shape {op.shape} does not match target dimension {d_t}"
         )
     plan = _plan(reg.dims, axes)
     out = (op @ state.amplitudes[plan.gather].reshape(d_t, -1)).reshape(-1)[plan.scatter]
-    return PureState(reg, out, normalized=False)
+    return PureState._adopt(reg, out)
+
+
+@lru_cache(maxsize=LOOKUP_CACHE_SIZE)
+def _target_axes(register: Register, targets: tuple[str, ...]) -> tuple[tuple[int, ...], int]:
+    """The axes of the ``targets`` and the product of their dimensions."""
+    axes = tuple(register.axis(t) for t in targets)
+    if len(set(axes)) != len(axes):
+        raise RegisterError(f"repeated target label in {list(targets)}")
+    return axes, math.prod(register.dims[a] for a in axes)
 
 
 def factor_out(state: PureState, label: str) -> tuple[PureState, PureState]:
     """Split off a disentangled slot, returning (slot_state, remainder).
 
-    Raises if the slot is entangled with the rest beyond ``SCHMIDT_TOL``
-    (second singular value of the bipartite amplitude matrix).
+    Raises ``ValueError`` naming the slot if it is entangled with the rest
+    beyond ``SCHMIDT_TOL`` (second singular value of the bipartite
+    amplitude matrix; NaN counts as entangled), or if the SVD does not
+    converge, as on a non-finite state.
     """
     reg = state.register
     mat = _slot_first(state, label)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    if len(s) > 1 and s[1] > SCHMIDT_TOL:
+    try:
+        u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    except np.linalg.LinAlgError as err:
+        raise ValueError(f"cannot factor out slot {label!r}: {err}") from None
+    if len(s) > 1 and not s[1] <= SCHMIDT_TOL:
         raise ValueError(f"slot {label!r} is entangled (Schmidt value {s[1]:.3e})")
     slot_amps = u[:, 0] * s[0]
     rest_amps = u[:, 0].conj() @ mat
     rest_labels = [l for l in reg.labels if l != label]
-    return (PureState(reg.subregister([label]), slot_amps, normalized=False).normalize(),
-            PureState(reg.subregister(rest_labels), rest_amps, normalized=False).normalize())
+    return (PureState._adopt(reg.subregister([label]), slot_amps).normalize(),
+            PureState._adopt(reg.subregister(rest_labels), rest_amps).normalize())
 
 
 def haar_unitary(d: int, rngs) -> np.ndarray:

@@ -23,6 +23,7 @@ from sglab import (
     basis_state,
     decoherence,
     experiment,
+    factor_out,
     qubits,
     run_detector_mode,
     run_joint_mode,
@@ -44,6 +45,10 @@ def _ensemble():
     return EnsembleState(((NAN, zero), (0.5, one)))
 
 
+def _unchecked(value):
+    return PureState(qubits("q", "r"), [value, 0.0, 0.0, 0.0], normalized=False)
+
+
 GATES = {
     "ExperimentConfig amplitudes": (lambda: ExperimentConfig(pipeline="local", alpha_re=NAN),
                                     ConfigError, "prep amplitudes"),
@@ -61,6 +66,12 @@ GATES = {
     "DetectorModel unitarity": (lambda: DetectorModel(2, [0.5, 0.5], [[NAN, 0.0], [0.0, 1.0]]),
                                 ValueError, "unitary"),
     "CoherenceFactor": (lambda: CoherenceFactor(complex(NAN, 0.0)), ValueError, "magnitude"),
+    # PureState(..., normalized=False) lets a non-finite amplitude through,
+    # and factor_out names the slot: a NaN stops the SVD, and an infinity
+    # gives NaN Schmidt values.
+    "factor_out SVD": (lambda: factor_out(_unchecked(NAN), "r"), ValueError, "slot 'r'"),
+    "factor_out Schmidt value": (lambda: factor_out(_unchecked(float("inf")), "r"),
+                                 ValueError, "slot 'r'"),
 }
 
 

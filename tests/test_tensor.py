@@ -19,7 +19,7 @@ from sglab import (
     tensor_product,
 )
 from sglab import tensor
-from sglab.observables import PAULI
+from sglab.observables import PAULI, PauliString, measure_projective
 from sglab.sampling import stream
 
 from oracles import (
@@ -61,6 +61,18 @@ class TestRegister:
         with pytest.raises(RegisterError):
             qubits("a").axis("b")
 
+    def test_subregister_equals_a_fresh_register(self):
+        reg = Register((("q", 2), ("r", 3), ("s", 1)))
+        for labels in (["r"], ("s", "q"), ["q", "r", "s"]):
+            sub = reg.subregister(labels)
+            assert sub == Register(tuple((l, reg.dim_of(l)) for l in labels))
+
+    def test_subregister_refuses_unknown_label_every_call(self):
+        reg = qubits("a", "b")
+        for _ in range(3):
+            with pytest.raises(RegisterError, match="unknown slot label 'c'"):
+                reg.subregister(["a", "c"])
+
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
             Register((("big", DIM_CAP + 1),))
@@ -83,6 +95,12 @@ class TestPureState:
         state = basis_state(qubits("a"), "0")
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
+
+    def test_construction_copies(self):
+        amps = np.array([0.0, 1.0], dtype=complex)
+        state = PureState(qubits("a"), amps)
+        amps[1] = 2.0
+        assert state.amplitudes[1] == 1.0 and amps.flags.writeable
 
     def test_overlap_and_fidelity(self):
         reg = qubits("a")
@@ -257,6 +275,55 @@ class TestContractionPlan:
         assert tensor._plan.cache_info().maxsize == tensor.PLAN_CACHE_SIZE
         assert tensor._plan.cache_info().maxsize is not None
 
+    @pytest.mark.parametrize("cache", ["_subregister", "_joined", "_target_axes"])
+    def test_lookup_caches_are_bounded(self, cache):
+        maxsize = getattr(tensor, cache).cache_info().maxsize
+        assert maxsize == tensor.LOOKUP_CACHE_SIZE
+        assert 0 < maxsize < float("inf")
+
+    def test_refusals_are_not_cached(self):
+        state = basis_state(qubits("a", "b"), "00")
+        for _ in range(2):
+            with pytest.raises(RegisterError, match="repeated target"):
+                apply_operator(state, np.eye(4), ["a", "a"])
+            with pytest.raises(RegisterError, match="label collision"):
+                tensor_product(state, state)
+
+
+def _derived_states(state: PureState, op: np.ndarray, targets) -> dict[str, PureState]:
+    """One state from each of the module's derivations of ``state``."""
+    applied = apply_operator(state, op, targets)
+    product = tensor_product(PureState(Register((("z", 2),)), [0.6, 0.8j]), state)
+    slot, rest = factor_out(product, "z")
+    x_first = PauliString({state.register.labels[0]: "X"})
+    return {"apply_operator": applied, "tensor_product": product,
+            "factor_out slot": slot, "factor_out rest": rest,
+            "normalize": applied.normalize(),
+            "measure_projective": measure_projective(product, x_first, stream(0)).post_state}
+
+
+class TestDerivedStates:
+    """States the module derives adopt their arrays and take the norm on demand."""
+
+    @given(dims_and_axes(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_norm_is_the_numpy_norm(self, case, seed):
+        dims, axes = case
+        reg = _mixed_register([2, *dims])
+        rng = stream(seed)
+        state = PureState(reg, random_state(reg.dim, rng))
+        axes = [a + 1 for a in axes]
+        d_t = int(np.prod([reg.dims[a] for a in axes], dtype=int))
+        op = rng.standard_normal((d_t, d_t)) + 1j * rng.standard_normal((d_t, d_t))
+        for name, derived in _derived_states(state, op, [reg.labels[a] for a in axes]).items():
+            assert derived.norm() == np.linalg.norm(derived.amplitudes), name
+
+    def test_arrays_are_read_only(self):
+        state = PureState(qubits("a", "b"), np.full(4, 0.5))
+        for derived in _derived_states(state, np.eye(2), ["b"]).values():
+            with pytest.raises(ValueError, match="read-only"):
+                derived.amplitudes[0] = 0.0
+
 
 class TestGatesThroughThePlan:
     def test_nan_operator_gives_an_unnormalized_state(self):
@@ -288,7 +355,12 @@ class TestGatesThroughThePlan:
         monkeypatch.setattr(np.linalg, "norm", lambda x: calls.append(1) or norm(x))
         state = basis_state(qubits("a", "b"), "00")
         calls.clear()
-        apply_operator(state, PAULI["X"], ["b"])
+        out = apply_operator(state, PAULI["X"], ["b"])
+        assert len(calls) == 0
+        out.norm()
+        assert len(calls) == 1
+        out.norm()
+        assert out.normalized
         assert len(calls) == 1
 
     def test_unit_norm_marked_normalized_even_when_not_required(self):
