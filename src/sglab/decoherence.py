@@ -75,7 +75,7 @@ _POINTER = {"transmitting": ((("s", 2), ("r_up", 2), ("r_dn", 2)), 0b110, 0b001)
             "absorbing": ((("r_up", 2), ("r_dn", 2)), 0b10, 0b01)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectorModel:
     """Environment dimension, microstate weights, scrambling unitary, mode."""
 
@@ -291,7 +291,6 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorMo
     mode = _check_modes(det_up, det_dn)
     f_up = coherence_factor(det_up).value
     f_dn = coherence_factor(det_dn).value
-    ab = prep.alpha * np.conj(prep.beta)
     rho = reduced_rho_analytic(prep, det_up, det_dn).entries
     _, upper, lower = _POINTER[mode]
     weight = float(rho[upper, upper].real + rho[lower, lower].real)
@@ -301,8 +300,8 @@ def blindness_contrast(prep: SpinPrep, det_up: DetectorModel, det_dn: DetectorMo
         "d_dn": det_dn.d,
         "f_up": complex(f_up),
         "f_dn": complex(f_dn),
-        "demon_analytic": float(2.0 * np.real(ab)),
-        "readout_only_analytic": float(2.0 * np.real(ab * f_up * np.conj(f_dn))),
+        "demon_analytic": float(2.0 * np.real(prep.alpha * np.conj(prep.beta))),
+        "readout_only_analytic": float(2.0 * rho[upper, lower].real),
     }
     if mode == "transmitting":
         report["z_s_z_rup"] = weight

@@ -346,12 +346,11 @@ def emit_report(report: RunReport, path, fmt: str) -> None:
 
 
 def parse_config_echo(text: str) -> dict:
-    """Recover the echoed config from either report format."""
-    first = text.splitlines()[0]
-    if first.startswith("# config="):
-        return json.loads(first[len("# config="):])
-    record = json.loads(first)
-    if record.get("record") != "config":
+    """Recover the echoed config from either report format; raise
+    ``ValueError`` if ``text`` does not start with a config record."""
+    first = next(iter(text.splitlines()), "")
+    csv = first.startswith("# config=")
+    record = json.loads(first.removeprefix("# config=")) if first else None
+    if not isinstance(record, dict) or not (csv or record.pop("record", None) == "config"):
         raise ValueError("report does not start with a config record")
-    record.pop("record")
     return record

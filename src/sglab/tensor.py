@@ -12,7 +12,7 @@ enters this module except through explicit numpy Generators.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -94,27 +94,27 @@ def qubits(*labels: str) -> Register:
     return Register(tuple((l, 2) for l in labels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized complex amplitude vector over a register.
 
     Public construction copies the amplitudes, computes their norm and
-    checks it to 1e-12 unless ``normalized=False`` (used for intermediate
-    projector output).  States this module derives itself (gate and
-    projector output, products, factors and ``normalize()`` results) adopt
-    their freshly made array without a copy and compute the norm on the
-    first ``norm()`` or ``normalized``, with the same ``np.linalg.norm``.
-    Either way the amplitudes are read-only, ``norm()`` returns one stored
-    value, and ``normalized`` records whether it is within the tolerance
-    of 1.  ``normalize()`` checks the norm of its result.
+    refuses one more than 1e-12 from 1, NaN and infinities included.
+    States this module derives itself (gate and projector output,
+    products, factors and ``normalize()`` results) adopt their freshly made
+    array without a copy and compute the norm on the first ``norm()`` or
+    ``normalized``, with the same ``np.linalg.norm``.  Either way the
+    amplitudes are read-only, ``norm()`` returns one stored value, and
+    ``normalized`` records whether it is within the tolerance of 1.
+    ``normalize()`` checks the norm of its result.  States compare and
+    hash by identity; compare values with ``fidelity`` or the amplitudes.
     """
 
     register: Register
     amplitudes: np.ndarray
-    normalized: InitVar[bool] = True
     _norm = None  # not yet computed
 
-    def __post_init__(self, normalized):
+    def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape[0] != self.register.dim:
             raise RegisterError(
@@ -123,8 +123,7 @@ class PureState:
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        unit = self.normalized  # public construction always computes the norm
-        if normalized and not unit:
+        if not self.normalized:
             raise _norm_error(self.norm())
 
     @classmethod
@@ -141,6 +140,11 @@ class PureState:
         if self._norm is None:
             object.__setattr__(self, "_norm", float(np.linalg.norm(self.amplitudes)))
         return self._norm
+
+    @property
+    def normalized(self) -> bool:
+        """Whether the norm is within NORM_TOL of 1."""
+        return abs(self.norm() - 1.0) <= NORM_TOL
 
     def normalize(self) -> "PureState":
         n = self.norm()
@@ -161,11 +165,6 @@ class PureState:
 
     def fidelity(self, other: "PureState") -> float:
         return abs(self.overlap(other)) ** 2
-
-
-# The dataclass has read ``normalized``'s default for __init__; on a state
-# it answers whether the norm is within NORM_TOL of 1.
-PureState.normalized = property(lambda self: abs(self.norm() - 1.0) <= NORM_TOL)
 
 
 def _norm_error(norm: float) -> ValueError:
@@ -191,7 +190,7 @@ def basis_state(register: Register, word) -> PureState:
     return PureState(register, amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleState:
     """Weighted classical mixture of pure states on one register."""
 
@@ -216,7 +215,7 @@ class EnsembleState:
         return np.array([w for w, _ in self.members])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix on a register.
 

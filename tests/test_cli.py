@@ -58,6 +58,14 @@ class TestReportFormats:
             text = render_report(self.report(), fmt)
             assert parse_config_echo(text) == self.report().config
 
+    @pytest.mark.parametrize("text", ["", "\n", "[1, 2]\n", '"config"\n', "# config=[1]\n",
+                                      "# config=\"a\"\n", '{"record": "row"}\n', "{}\n"],
+                             ids=["empty", "blank line", "JSON array", "JSON string", "csv array",
+                                  "csv string", "row record", "no record key"])
+    def test_config_echo_refuses_text_without_config_record(self, text):
+        with pytest.raises(ValueError, match="does not start with a config record"):
+            parse_config_echo(text)
+
     def test_numpy_scalars_serialize(self):
         assert format_value(np.float64(0.5)) == "0.5"
         assert format_value(np.int64(7)) == "7"

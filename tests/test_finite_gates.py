@@ -46,7 +46,7 @@ def _ensemble():
 
 
 def _unchecked(value):
-    return PureState(qubits("q", "r"), [value, 0.0, 0.0, 0.0], normalized=False)
+    return PureState._adopt(qubits("q", "r"), np.array([value, 0.0, 0.0, 0.0], dtype=complex))
 
 
 GATES = {
@@ -66,9 +66,9 @@ GATES = {
     "DetectorModel unitarity": (lambda: DetectorModel(2, [0.5, 0.5], [[NAN, 0.0], [0.0, 1.0]]),
                                 ValueError, "unitary"),
     "CoherenceFactor": (lambda: CoherenceFactor(complex(NAN, 0.0)), ValueError, "magnitude"),
-    # PureState(..., normalized=False) lets a non-finite amplitude through,
-    # and factor_out names the slot: a NaN stops the SVD, and an infinity
-    # gives NaN Schmidt values.
+    # Public construction refuses a non-finite state, so one can arise only
+    # inside an operation, as a derived state; factor_out names the slot:
+    # a NaN stops the SVD, and an infinity gives NaN Schmidt values.
     "factor_out SVD": (lambda: factor_out(_unchecked(NAN), "r"), ValueError, "slot 'r'"),
     "factor_out Schmidt value": (lambda: factor_out(_unchecked(float("inf")), "r"),
                                  ValueError, "slot 'r'"),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,13 +8,16 @@ from hypothesis import strategies as st
 from sglab import (
     DIM_CAP,
     DensityMatrix,
+    DetectorModel,
     DimensionCapError,
     EnsembleState,
     PureState,
     Register,
     RegisterError,
+    SpinPrep,
     apply_operator,
     basis_state,
+    branch_mixture,
     factor_out,
     haar_unitary,
     qubits,
@@ -101,6 +106,11 @@ class TestPureState:
         state = PureState(qubits("a"), amps)
         amps[1] = 2.0
         assert state.amplitudes[1] == 1.0 and amps.flags.writeable
+
+    def test_constructor_takes_register_and_amplitudes_only(self):
+        assert [f.name for f in dataclasses.fields(PureState)] == ["register", "amplitudes"]
+        with pytest.raises(TypeError):
+            PureState(qubits("a"), [0.0, 1.0], normalized=False)
 
     def test_overlap_and_fidelity(self):
         reg = qubits("a")
@@ -257,7 +267,7 @@ class TestContractionPlan:
         slot = random_state(dims[axis], rng)
         rest = random_state(int(np.prod(rest_dims, dtype=int)), rng)
         product = np.moveaxis(np.multiply.outer(slot, rest.reshape(rest_dims)), 0, axis)
-        state = PureState(reg, product.reshape(-1), normalized=False).normalize()
+        state = PureState._adopt(reg, product.reshape(-1).astype(complex)).normalize()
         got_slot, got_rest = factor_out(state, reg.labels[axis])
         ref_slot, ref_rest = moveaxis_factor_out(state.amplitudes, dims, axis)
         assert got_slot.amplitudes.tobytes() == ref_slot.tobytes()
@@ -364,7 +374,7 @@ class TestGatesThroughThePlan:
         assert len(calls) == 1
 
     def test_unit_norm_marked_normalized_even_when_not_required(self):
-        state = PureState(qubits("a"), [0.0, 1.0], normalized=False)
+        state = apply_operator(basis_state(qubits("a"), "0"), PAULI["X"], ["a"])
         assert state.normalized
         assert state.norm() == 1.0
 
@@ -476,6 +486,25 @@ class TestFactorOut:
         full = tensor_product(PureState(qubits("a"), random_state(2, rng)), rest)
         _, recovered = factor_out(full, "a")
         assert recovered.fidelity(rest) == pytest.approx(1.0)
+
+
+# Each builder makes a new object of the same value on every call.
+VALUE_TYPES = {
+    "PureState": lambda: basis_state(qubits("a"), "1"),
+    "DensityMatrix": lambda: DensityMatrix(qubits("a"), np.eye(2) / 2),
+    "EnsembleState": lambda: branch_mixture(SpinPrep.balanced()),
+    "DetectorModel": lambda: DetectorModel.sample(2, 0),
+    "MeasurementOutcome": lambda: measure_projective(
+        basis_state(qubits("a"), "1"), PauliString({"a": "Z"}), stream(0)),
+}
+
+
+@pytest.mark.parametrize("kind", VALUE_TYPES)
+def test_values_compare_by_identity(kind):
+    x, y = VALUE_TYPES[kind](), VALUE_TYPES[kind]()
+    assert x == x and x in [x]
+    assert x != y and x not in [y]
+    hash(x)
 
 
 class TestDensityMatrix:
