@@ -74,7 +74,11 @@ HAAR_130 = ["sweep", "--d", "130", "--trials", "2", "--env-model", "haar", "--se
 _GRID_RUNS = [
     ["local", "--basis", basis, *mixture, "--shots", str(shots), *UNBALANCED, "--seed", "31"]
     for basis in ("X", "Z") for mixture in ([], ["--mixture"])
-    for shots in (1, 16383, 16384, 16385, 70001)
+    for shots in (1, 4095, 4096, 4097, 16383, 16384, 16385, 70001)
+] + [
+    # One mixture member has weight 0 and draws no words.
+    ["local", "--basis", basis, "--mixture", "--shots", "9000", *prep, "--seed", "49"]
+    for basis in ("X", "Z") for prep in (ZERO_ALPHA, ZERO_BETA)
 ] + [
     ["joint", "--observables", "IZZ,XXX,ZZI,ZIZ,XXX", *UNBALANCED, "--seed", "32"],
 ] + [
