@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ConfigError("mixture must be true or false")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out must be a path string")
+        if self.out is not None and "\0" in self.out:  # open() would refuse it after the run
+            raise ConfigError("out must not hold a NUL byte")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}")
 
@@ -184,7 +186,9 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError covers JSON syntax, bad UTF-8 and over-long integers;
+        # deeply nested containers exhaust the decoder's recursion.
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")

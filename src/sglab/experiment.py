@@ -28,7 +28,7 @@ from .observables import (
     joint_circuit_xxx,
     pauli_expectation,
 )
-from .reports import Coded, RowTable, RunReport
+from .reports import CHUNK_ROWS, Coded, RowTable, RunReport
 from .sampling import check_int, stream
 from .tensor import (
     DimensionCapError,
@@ -50,9 +50,10 @@ PROJECT_ZERO = np.array([[1, 0], [0, 0]], dtype=complex)
 
 JOINT_OBSERVABLES = ("IZZ", "ZZI", "ZIZ", "XXX")
 
-# A local run's peak memory grows by about 16 B per shot, 19 B with the
-# mixture (process RSS at 1e6 and 4e6 shots), so 2**24 shots need about
-# 0.3 GB; refuse more.
+# A local run's peak memory grows by about 1 B per shot, 2 B with the
+# mixture (process RSS between 1e6 and 4e6 shots): the uint8 word and
+# member codes.  2**24 shots hold about 34 MB of them and write about 1 GB
+# of json-lines; refuse more.
 SHOTS_CAP = 2**24
 
 # Outcome words of the three slots, indexed by amplitude index (big-endian).
@@ -176,18 +177,63 @@ def check_observables(observables) -> list:
     return observables
 
 
+def _cdf(p) -> np.ndarray:
+    """``Generator.choice``'s normalized cdf of ``p``, after its refusals."""
+    p = np.asarray(p, dtype=np.float64)
+    total = p.sum()
+    if np.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if np.any(p < 0):
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` with indices drawn from ``cdf``, as ``rng.choice`` would.
+
+    ``choice(p=)`` draws one uniform per index and searches the cdf; here
+    that runs ``CHUNK_ROWS`` indices at a time, so its float64 uniforms and
+    intp indices never span the whole array.  ``range`` refuses a zero
+    step, so the loop cannot stall.
+    """
+    for lo in range(0, len(out), CHUNK_ROWS):
+        chunk = out[lo:lo + CHUNK_ROWS]
+        chunk[...] = cdf.searchsorted(rng.random(len(chunk)), side="right")
+
+
 def _sample_words(prob_sets, weights, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Word indices (uint8) for each shot, mixing members by weight."""
-    if len(prob_sets) == 1:
-        return rng.choice(len(prob_sets[0]), size=shots, p=prob_sets[0]).astype(np.uint8)
-    members = rng.choice(len(prob_sets), size=shots, p=weights)
+    """Word indices (uint8) for each shot, mixing members by weight.
+
+    The stream is that of ``rng.choice``: a mixture draws every shot's
+    member first, then each member's words in member order, in shot order.
+    """
     words = np.empty(shots, dtype=np.uint8)
+    if len(prob_sets) == 1:
+        _draw(_cdf(prob_sets[0]), rng, words)
+        return words
+    members = np.empty(shots, dtype=np.uint8)
+    _draw(_cdf(weights), rng, members)
     for k, probs in enumerate(prob_sets):
-        mask = members == k
-        count = int(mask.sum())
-        if count:
-            words[mask] = rng.choice(len(probs), size=count, p=probs)
+        cdf = _cdf(probs)
+        for lo in range(0, shots, CHUNK_ROWS):
+            mask = members[lo:lo + CHUNK_ROWS] == k
+            count = int(np.count_nonzero(mask))
+            if count:
+                words[lo:lo + CHUNK_ROWS][mask] = cdf.searchsorted(rng.random(count), side="right")
     return words
+
+
+def _word_counts(words: np.ndarray) -> np.ndarray:
+    """How many shots drew each word; counted by chunk, since ``np.bincount``
+    casts its input to intp."""
+    counts = np.zeros(len(_WORDS), dtype=np.int64)
+    for lo in range(0, len(words), CHUNK_ROWS):
+        counts += np.bincount(words[lo:lo + CHUNK_ROWS], minlength=len(_WORDS))
+    return counts
 
 
 def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
@@ -200,11 +246,13 @@ def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
     word is drawn exactly from the joint Born distribution; sampling the
     word directly is the same experiment without the per-shot rebuild.
 
-    The rows are columns (a ``RowTable``): ``shot``, then the ``word``
-    label and the eigenvalue ``product`` of each shot as two ``Coded``
-    columns on the one uint8 array of sampled word indices.  The summary
-    comes from the word counts alone (``np.bincount``), so no per-shot
-    Python objects are made.
+    The rows are columns (a ``RowTable``): ``shot``, a ``range``, then
+    the ``word`` label and the eigenvalue ``product`` of each shot as two
+    ``Coded`` columns on the one uint8 array of sampled word indices.  The
+    summary comes from the word counts alone, so no per-shot Python
+    objects are made.  The words are drawn and counted ``CHUNK_ROWS`` at a
+    time, so the run holds 1 B per shot (2 B with the mixture, whose
+    member codes are uint8 too) plus a bounded working set.
     """
     if check_int("shots", shots) > SHOTS_CAP:
         raise DimensionCapError(f"{shots} shots exceed cap {SHOTS_CAP}")
@@ -226,7 +274,7 @@ def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
         prob_sets.append(p / p.sum())
     words = _sample_words(prob_sets, weights, shots, rng)
 
-    counts = np.bincount(words, minlength=len(_WORDS))
+    counts = _word_counts(words)
     means = (counts @ _SLOT_EIGENVALUES) / shots
     summary = {
         "word_counts": {_WORDS[w]: n for w, n in enumerate(counts.tolist()) if n},
@@ -237,7 +285,7 @@ def run_local_mode(prep: SpinPrep, basis: str, shots: int, seed: int,
         "product_always_plus_one": bool(np.all(_WORD_PRODUCTS[counts > 0] == 1)),
     }
     rows = RowTable({
-        "shot": np.arange(shots),
+        "shot": range(shots),
         "word": Coded(words, _WORDS),
         "product": Coded(words, tuple(_WORD_PRODUCTS.tolist())),
     })

@@ -31,7 +31,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-CHUNK_ROWS = 1 << 14
+CHUNK_ROWS = 1 << 12
 
 _CSV_SPECIAL = frozenset(',"\n\r')
 
@@ -39,11 +39,12 @@ _CSV_SPECIAL = frozenset(',"\n\r')
 class RowTable:
     """Report rows held column by column.
 
-    ``columns`` maps each field name to a sequence (a 1-d numpy array or a
-    list) holding one value per row.  The table reads like the list of
-    row dicts it replaces: ``len`` is the row count, iteration yields one
-    dict of Python scalars per row, and two tables are equal when their
-    field names and values are.
+    ``columns`` maps each field name to a sequence (a 1-d numpy array, a
+    ``range`` or a list) holding one value per row; a ``range`` column,
+    such as local mode's ``shot``, holds its integers without an array.
+    The table reads like the list of row dicts it replaces: ``len`` is the
+    row count, iteration yields one dict of Python scalars per row, and
+    two tables are equal when their field names and values are.
     """
 
     def __init__(self, columns: dict):
@@ -174,10 +175,12 @@ def _columns(rows) -> tuple[dict, int]:
 def _cell_source(col, cell):
     """Callable (lo, hi) -> iterable of the cell texts of rows lo..hi-1.
 
-    Integer arrays print through ``repr`` (the text of ``str``, without
-    the call through the ``str`` type); everything else goes through
-    ``cell`` one value at a time.
+    Integer arrays and ranges print through ``repr`` (the text of ``str``,
+    without the call through the ``str`` type); everything else goes
+    through ``cell`` one value at a time.
     """
+    if isinstance(col, range):
+        return lambda lo, hi: map(repr, col[lo:hi])
     if isinstance(col, np.ndarray):
         to_text = repr if col.dtype.kind in "iu" else cell
         return lambda lo, hi: map(to_text, col[lo:hi].tolist())

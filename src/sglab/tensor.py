@@ -56,6 +56,8 @@ class Register:
     labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
     dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
     dim: int = field(init=False, repr=False, compare=False)
+    # The hash of ``slots``, which the register-lookup caches take on every call.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         slots = tuple((str(l), check_int("slot dimension", d)) for l, d in self.slots)
@@ -68,8 +70,17 @@ class Register:
             raise DimensionCapError(
                 f"register dimension {dim} exceeds cap {DIM_CAP}"
             )
-        for name, value in (("slots", slots), ("labels", labels), ("dims", dims), ("dim", dim)):
+        for name, value in (("slots", slots), ("labels", labels), ("dims", dims), ("dim", dim),
+                            ("_hash", hash(slots))):
             object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt from its slots: a pickled hash of strings is stale in a
+        # process with another hash seed.
+        return Register, (self.slots,)
 
     def axis(self, label: str) -> int:
         try:

@@ -258,6 +258,31 @@ class TestCliEndToEnd:
         assert run_cli(["local", "--config", str(bad_cfg)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("text", [
+        "[" * 3000 + "]" * 3000,                     # deeper than the decoder's recursion
+        '{"shots": 1' + "0" * 5000 + "}",            # past Python's int-string limit
+        "{\"basis\": \"Z\", \"\xff\": 1}",           # not UTF-8 once encoded as latin-1
+        "{\"shots\": ",
+    ], ids=["nested", "long-int", "not-utf8", "truncated"])
+    def test_undecodable_config_file_exits_2(self, text, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "x"
+        assert run_cli(["local", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sglab: config error: cannot read config file: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_nul_byte_in_out_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_stream(seed):
+            raise AssertionError("stream reached")
+
+        monkeypatch.setattr(sglab.experiment, "stream", no_stream)
+        assert run_cli(["local", "--seed", "1", "--out", str(tmp_path / "a\0b")]) == 2
+        assert "out must not hold a NUL byte" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="NUL byte"):
+            ExperimentConfig(pipeline="local", out="x\0")
+
     @pytest.mark.parametrize("key,value", [
         ("observables", {"IZZ": 1, "XXX": 2}), ("observables", "ZZI"), ("d", 3),
     ])

@@ -18,7 +18,9 @@ from sglab import (
     run_local_mode,
     run_ordinary_mode,
 )
-from sglab.experiment import ANCILLA_REGISTER, PATH_REGISTER
+from sglab.experiment import ANCILLA_REGISTER, PATH_REGISTER, _sample_words
+from sglab.reports import CHUNK_ROWS
+from sglab.sampling import stream
 
 from oracles import (
     density_matrix,
@@ -232,6 +234,66 @@ class TestLocalMode:
             run_local_mode(GENERIC, "Y", 10, seed=0)
         with pytest.raises(ValueError):
             run_local_mode(GENERIC, "Z", 0, seed=0)
+
+
+def choice_words(prob_sets, weights, shots, rng):
+    """The word sampler as one ``Generator.choice`` call per draw: the
+    reference that the chunked sampler must match bit for bit."""
+    if len(prob_sets) == 1:
+        return rng.choice(len(prob_sets[0]), size=shots, p=prob_sets[0]).astype(np.uint8)
+    members = rng.choice(len(prob_sets), size=shots, p=weights)
+    words = np.empty(shots, dtype=np.uint8)
+    for k, probs in enumerate(prob_sets):
+        mask = members == k
+        count = int(mask.sum())
+        if count:
+            words[mask] = rng.choice(len(probs), size=count, p=probs)
+    return words
+
+
+SAMPLER_SIZES = [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 7]
+# Zero entries first, inside and last, a certain word, and t4's X-basis words.
+WORD_PROBS = [
+    np.array([0, 0.3, 0, 0, 0.7, 0, 0, 0]),
+    np.array([0.25, 0.25, 0, 0, 0, 0, 0, 0.5]),
+    np.eye(8)[6],
+    np.eye(8)[0],
+    np.abs(np.kron(np.kron(*[np.array([1, 1]) / np.sqrt(2)] * 2), [0.6, 0.8])) ** 2,
+]
+
+
+class TestWordSampler:
+    @pytest.mark.parametrize("shots", SAMPLER_SIZES)
+    @pytest.mark.parametrize("k", range(len(WORD_PROBS)))
+    def test_one_state_is_bitwise_choice(self, shots, k):
+        p = WORD_PROBS[k] / WORD_PROBS[k].sum()
+        ours, theirs = stream(shots + k), stream(shots + k)
+        assert np.array_equal(_sample_words([p], None, shots, ours),
+                              choice_words([p], None, shots, theirs))
+        assert ours.integers(2**63) == theirs.integers(2**63)  # the streams stand level
+
+    @pytest.mark.parametrize("shots", SAMPLER_SIZES)
+    @pytest.mark.parametrize("weights", [(0.3, 0.7), (0.0, 1.0), (1.0, 0.0)])
+    def test_mixture_is_bitwise_choice(self, shots, weights):
+        # A member of weight 0 has no shots and draws nothing.
+        prob_sets = [WORD_PROBS[0], WORD_PROBS[1]]
+        ours, theirs = stream(shots), stream(shots)
+        words = _sample_words(prob_sets, np.array(weights), shots, ours)
+        assert words.dtype == np.uint8
+        assert np.array_equal(words, choice_words(prob_sets, np.array(weights), shots, theirs))
+        assert ours.integers(2**63) == theirs.integers(2**63)  # the streams stand level
+
+    @pytest.mark.parametrize("p", [
+        [np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [0.5, 0.4, 0.0], [0.5, 0.5, 1e-7],
+    ], ids=["nan", "negative", "short", "long"])
+    def test_refusals_are_choices(self, p):
+        p = np.array(p)
+        with pytest.raises(ValueError) as theirs:
+            stream(0).choice(len(p), size=5, p=p)
+        for prob_sets, weights in (([p], None), ([WORD_PROBS[0]] * 3, p)):
+            with pytest.raises(ValueError) as ours:
+                _sample_words(prob_sets, weights, 5, stream(0))
+            assert str(theirs.value).startswith(str(ours.value))
 
 
 class TestJointMode:

@@ -68,8 +68,8 @@ COMPLEX = ["--alpha-re", "0", "--alpha-im", "0.6", "--beta-re", "0.8"]
 # Haar stacks of one matrix each.  At d >= 99 LAPACK's QR bits, and so these
 # reports', differ between one BLAS thread and two.
 HAAR_130 = ["sweep", "--d", "130", "--trials", "2", "--env-model", "haar", "--seed", "44"]
-# Local runs straddle the report's 16384-row chunk bound and span several
-# chunks; d = 8 is the largest transmitting d with full values and 11 the
+# Local runs straddle 4096 rows, the chunk bound of the word draws and of
+# the report rendering, and 16384, and span several chunks; d = 8 is the largest transmitting d with full values and 11 the
 # largest absorbing one, and d = 9 has none.
 _GRID_RUNS = [
     ["local", "--basis", basis, *mixture, "--shots", str(shots), *UNBALANCED, "--seed", "31"]

@@ -26,6 +26,7 @@ DOCUMENTED_API = (
     "RowTable.__eq__",
     "RowTable.__repr__",
     "Coded.tolist",
+    "Register.__reduce__",
 )
 
 ARGVS = (

@@ -48,6 +48,7 @@ def mixed_report() -> RunReport:
         "flag": np.array([True, False, True, True, False, False]),
         "word": np.array(["110", "a,b", 'q"t', "110", "", "001"]),
         "nested": [0.1 + 0.2j, [1, 2.5], {"k": None}, "x,y", 4, -0.0],
+        "r": range(-3, 9, 2),
     })
     return RunReport(rows, {"n": 6}, {"pipeline": "mixed", "seed": 1})
 
@@ -214,6 +215,10 @@ class TestChunks:
 # shots; gathered '<U3' word labels, sorted by np.unique to render them,
 # took about 70 B.
 LOCAL_PEAK_BYTES_PER_SHOT = 32
+# Growth of that peak per added shot, between 2**16 and 2**18 shots.  The
+# words drawn by ``rng.choice`` in one call, counted by one ``np.bincount``
+# and numbered by an int64 ``shot`` array grew it by 16-19 B.
+LOCAL_PEAK_SLOPE_BYTES_PER_SHOT = 3
 
 
 class TestMemory:
@@ -228,6 +233,24 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak / shots < LOCAL_PEAK_BYTES_PER_SHOT
+
+    @pytest.mark.parametrize("mixture", [False, True])
+    def test_local_run_peak_grows_by_its_codes_alone(self, mixture, tmp_path):
+        # The word codes take 1 B per shot, and the mixture's member codes 1 B
+        # more; the draws, the counts and the render chunks hold the same
+        # bytes at any shot count.  A first run fills the one-time caches.
+        emit_report(run_local_mode(GENERIC, "X", 100, seed=6), tmp_path / "r.jsonl", "json-lines")
+        peaks = []
+        for shots in (2**16, 2**18):
+            tracemalloc.start()
+            try:
+                report = run_local_mode(GENERIC, "X", shots, seed=6, mixture=mixture)
+                emit_report(report, tmp_path / "r.jsonl", "json-lines")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del report
+        assert (peaks[1] - peaks[0]) / (2**18 - 2**16) <= LOCAL_PEAK_SLOPE_BYTES_PER_SHOT
 
 
 class TestNonFinite:

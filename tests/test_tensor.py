@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -81,6 +82,15 @@ class TestRegister:
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
             Register((("big", DIM_CAP + 1),))
+
+    def test_equal_registers_hash_equal(self):
+        reg = Register((("q", 2), ("env", 3)))
+        twins = [Register([["q", np.int64(2)], ("env", 3)]),
+                 Register((("p", 2), ("q", 2), ("env", 3))).subregister(["q", "env"]),
+                 pickle.loads(pickle.dumps(reg))]
+        for twin in twins:
+            assert twin == reg and hash(twin) == hash(reg)
+            assert {reg: "found"}[twin] == "found"
 
     def test_word_validation(self):
         reg = qubits("a", "b")
