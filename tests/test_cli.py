@@ -270,7 +270,8 @@ class TestCliEndToEnd:
         out = tmp_path / "x"
         assert run_cli(["local", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("sglab: config error: cannot read config file: ") and err.count("\n") == 1
+        assert err.startswith("sglab: config error: cannot read config file: ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_nul_byte_in_out_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):

@@ -252,13 +252,16 @@ def choice_words(prob_sets, weights, shots, rng):
 
 
 SAMPLER_SIZES = [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 7]
-# Zero entries first, inside and last, a certain word, and t4's X-basis words.
+_H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+_H3 = np.kron(np.kron(_H, _H), _H)
+# Zero entries first, inside and last, a certain word, and the X-basis
+# words of t4, half of which have probability 0.
 WORD_PROBS = [
     np.array([0, 0.3, 0, 0, 0.7, 0, 0, 0]),
     np.array([0.25, 0.25, 0, 0, 0, 0, 0, 0.5]),
     np.eye(8)[6],
     np.eye(8)[0],
-    np.abs(np.kron(np.kron(*[np.array([1, 1]) / np.sqrt(2)] * 2), [0.6, 0.8])) ** 2,
+    np.abs(_H3 @ premeasurement_state(SpinPrep.balanced()).amplitudes) ** 2,
 ]
 
 

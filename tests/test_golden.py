@@ -69,8 +69,9 @@ COMPLEX = ["--alpha-re", "0", "--alpha-im", "0.6", "--beta-re", "0.8"]
 # reports', differ between one BLAS thread and two.
 HAAR_130 = ["sweep", "--d", "130", "--trials", "2", "--env-model", "haar", "--seed", "44"]
 # Local runs straddle 4096 rows, the chunk bound of the word draws and of
-# the report rendering, and 16384, and span several chunks; d = 8 is the largest transmitting d with full values and 11 the
-# largest absorbing one, and d = 9 has none.
+# the report rendering, and 16384, and span several chunks; d = 8 is the
+# largest transmitting d with full values and 11 the largest absorbing
+# one, and d = 9 has none.
 _GRID_RUNS = [
     ["local", "--basis", basis, *mixture, "--shots", str(shots), *UNBALANCED, "--seed", "31"]
     for basis in ("X", "Z") for mixture in ([], ["--mixture"])
