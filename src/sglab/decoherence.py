@@ -32,6 +32,7 @@ pointer fields.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,6 @@ SWEEP_DRAW_CAP = 2**18
 # complex entries, so d >= 128 gets one matrix per stack.
 SWEEP_CHUNK_ENTRIES = 2**14
 
-ENV_MODELS = ("haar", "phases", "identity")
-WEIGHT_MODELS = ("uniform", "geometric")
 # Geometric microstate weights: p_mu proportional to GEOMETRIC_RATIO ** mu.
 GEOMETRIC_RATIO = 0.5
 MODES = ("transmitting", "absorbing")
@@ -104,14 +103,14 @@ class DetectorModel:
                weights_model: str = "uniform", mode: str = "transmitting") -> "DetectorModel":
         """Seeded model of the chosen classes; ``seed`` as in ``sampling.stream``.
 
-        V is the one-matrix stack of ``_env_unitaries``, the sweep's sampler,
+        V is the one-matrix stack of the ``_ENV`` draw the sweep samples with,
         so a detector drawn here has the bits of the same stream's sweep draw.
         """
         _under_cap(check_sampling(env_model, weights_model, [d]))
         _check_mode(mode)
         rng = stream(seed)  # made for every model, so every model checks the seed
-        return cls(d=d, weights=_weights(d, weights_model),
-                   V=_env_unitaries(d, [rng], env_model)[0], mode=mode)
+        return cls(d=d, weights=_WEIGHTS[weights_model](d),
+                   V=_ENV[env_model].draw(d, [rng])[0], mode=mode)
 
 
 def _require_unitary(v: np.ndarray) -> None:
@@ -149,23 +148,38 @@ def _under_cap(d_values: list[int]) -> list[int]:
     return d_values
 
 
-def _weights(d: int, weights_model: str) -> np.ndarray:
-    """Microstate weights p_mu: uniform, or GEOMETRIC_RATIO ** mu normalized."""
-    if weights_model == "uniform":
-        return np.full(d, 1.0 / d)
+def _geometric_weights(d: int) -> np.ndarray:
     w = GEOMETRIC_RATIO ** np.arange(d)
     return w / w.sum()
 
 
-def _env_unitaries(d: int, rngs, env_model: str) -> np.ndarray:
-    """Stack of environment unitaries, one per generator in ``rngs``: Haar,
-    diagonal with independent uniform phases, or the identity.  This is the
-    package's one environment draw."""
-    if env_model == "haar":
-        return haar_unitary(d, rngs)
-    if env_model == "phases":
-        return np.stack([np.diag(np.exp(2j * np.pi * rng.random(d))) for rng in rngs])
-    return np.broadcast_to(np.eye(d, dtype=complex), (len(rngs), d, d))
+# Each weight model's microstate weights p_mu, from d.
+_WEIGHTS = {
+    "uniform": lambda d: np.full(d, 1.0 / d),
+    "geometric": _geometric_weights,
+}
+# Each environment model's draw, (d, rngs) -> one unitary per generator, and
+# its exact E|f|^2, (d, w) -> float: sum p^2 / d for Haar V, by the Weingarten
+# rule E[V_ij conj(V_kl)] = delta_ik delta_jl / d (Collins & Sniady 2006), sum
+# p^2 for uniform phases, and (sum p)^2, the literal 1.0, for the identity.
+# The haar draw reads the module's ``haar_unitary`` at each call, not import.
+_EnvModel = namedtuple("_EnvModel", "draw f_abs2_moment")
+_ENV = {
+    "haar": _EnvModel(lambda d, rngs: haar_unitary(d, rngs), lambda d, w: float(w @ w) / d),
+    "phases": _EnvModel(
+        lambda d, rngs: np.stack([np.diag(np.exp(2j * np.pi * rng.random(d))) for rng in rngs]),
+        lambda d, w: float(w @ w)),
+    "identity": _EnvModel(
+        lambda d, rngs: np.broadcast_to(np.eye(d, dtype=complex), (len(rngs), d, d)),
+        lambda d, w: 1.0),
+}
+ENV_MODELS = tuple(_ENV)
+WEIGHT_MODELS = tuple(_WEIGHTS)
+
+
+def _f(w: np.ndarray, v: np.ndarray) -> complex:
+    """f = sum_mu p_mu <mu|V|mu>: a dot over the strided diagonal of V."""
+    return w @ np.diagonal(v)
 
 
 @dataclass(frozen=True)
@@ -181,7 +195,7 @@ class CoherenceFactor:
 
 def coherence_factor(det: DetectorModel) -> CoherenceFactor:
     """f = sum_mu p_mu <mu|V|mu>, computed exactly."""
-    return CoherenceFactor(complex(det.weights @ np.diagonal(det.V)))
+    return CoherenceFactor(complex(_f(det.weights, det.V)))
 
 
 def _check_modes(det_up: DetectorModel, det_dn: DetectorModel) -> str:
@@ -340,7 +354,7 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_mode
     For each (d, trial) a fresh detector pair is drawn from child streams
     of the root seed: stream 2k for the up detector and 2k + 1 for the down
     detector of row k.  The environment unitaries of each d are sampled
-    in stacks by ``_env_unitaries``, the sampler ``DetectorModel.sample``
+    in stacks by the env model's draw, which ``DetectorModel.sample``
     draws its one matrix from, so a row has the bits of detectors sampled
     from the same streams; each stack is checked for unitarity with
     ``DetectorModel``'s 1e-12 rule.  Each stack's streams are
@@ -356,7 +370,7 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_mode
     * ``expected_uniform_haar``: 1/d^2, the moment for uniform p and Haar V
       only, kept for existing readers;
     * ``expected_f_abs2``: the exact E|f|^2 of the model run (see
-      ``_f_abs2_moment``);
+      ``_ENV``);
     * ``pooled_mean_f_abs2``: the mean over both detectors, its sample
       standard error ``stderr`` and ``z`` = (pooled - expected) / stderr.
       ``z`` is 0 when the pooled mean is within 1e-12 of the expected
@@ -371,15 +385,15 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_mode
         )
     root = np.random.SeedSequence(check_seed(seed))
     f = np.empty(draws, dtype=complex)  # f[2k] up, f[2k + 1] down
-    for i, d in enumerate(d_values):
-        w = _weights(d, weights_model)
+    weights = [_WEIGHTS[weights_model](d) for d in d_values]
+    for i, (d, w) in enumerate(zip(d_values, weights)):
         step = max(1, SWEEP_CHUNK_ENTRIES // (d * d))
         block_end = 2 * trials * (i + 1)
         for lo in range(2 * trials * i, block_end, step):
-            v = _env_unitaries(d, spawn(root, min(step, block_end - lo)), env_model)
+            v = _ENV[env_model].draw(d, spawn(root, min(step, block_end - lo)))
             _require_unitary(v)
             for j, vj in enumerate(v, lo):
-                f[j] = w @ np.diagonal(vj)
+                f[j] = _f(w, vj)
     # Per-trial Python scalars, not array ufuncs: numpy's array abs, complex
     # multiply and square round differently from these scalar forms.
     ab = prep.alpha * np.conj(prep.beta)
@@ -395,10 +409,10 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_mode
         "offdiag_abs": np.array([abs(ab * up * np.conj(dn)) for up, dn in zip(f_up, f_dn)]),
     })
     summary = {}
-    for d in d_values:
+    for d, w in zip(d_values, weights):
         mask = d_col == d
         pooled = np.concatenate([f_abs2_up[mask], f_abs2_dn[mask]])
-        expected = _f_abs2_moment(d, env_model, weights_model)
+        expected = _ENV[env_model].f_abs2_moment(d, w)
         mean = float(pooled.mean())
         stderr = float(pooled.std(ddof=1) / np.sqrt(pooled.size))
         summary[str(d)] = {
@@ -410,17 +424,3 @@ def sweep_suppression(prep: SpinPrep, d_values, trials: int, seed: int, env_mode
             "z": 0.0 if abs(mean - expected) <= MOMENT_TOL else (mean - expected) / stderr,
         }
     return RunReport(rows, summary)
-
-
-def _f_abs2_moment(d: int, env_model: str, weights_model: str) -> float:
-    """Exact E|f|^2 for f = sum_mu p_mu V_mu,mu.
-
-    Haar V: sum p^2 / d, from the Weingarten rule
-    E[V_ij conj(V_kl)] = delta_ik delta_jl / d (Collins & Sniady 2006).
-    Independent uniform phases: sum p^2.  Identity: (sum p)^2 = 1.
-    """
-    if env_model == "identity":
-        return 1.0
-    w = _weights(d, weights_model)
-    s2 = float(w @ w)
-    return s2 / d if env_model == "haar" else s2

@@ -5,7 +5,7 @@ seed through Philox (counter-based) generators.  Independent child streams
 are derived with SeedSequence spawning, so parallel shots and sweep points
 are reproducible bit-for-bit regardless of evaluation order.  What is drawn
 from a stream lives with its model (``tensor.haar_unitary``,
-``decoherence._env_unitaries``); this module makes no draws.
+``decoherence._ENV``); this module makes no draws.
 """
 from __future__ import annotations
 

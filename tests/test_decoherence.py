@@ -13,9 +13,10 @@ from sglab import (
     coherence_factor,
     reduced_rho_analytic,
     rho_t4_full,
+    run_detector_mode,
     sweep_suppression,
 )
-from sglab.decoherence import ENV_DIM_CAP, FULL_DIM_CAP, MODES
+from sglab.decoherence import ENV_DIM_CAP, ENV_MODELS, FULL_DIM_CAP, MODES, WEIGHT_MODELS
 from sglab.observables import PAULI
 from sglab.sampling import split, stream
 from sglab.tensor import DIM_CAP
@@ -120,10 +121,16 @@ class TestDetectorModel:
         assert np.max(np.abs(det.V.conj().T @ det.V - np.eye(3))) < 1e-12
 
     def test_sample_rejects_unknown_classes(self):
-        with pytest.raises(ValueError):
-            DetectorModel.sample(2, 0, env_model="thermal")
-        with pytest.raises(ValueError):
-            DetectorModel.sample(2, 0, weights_model="zipf")
+        # Membership is tested on the name tuples, so an unhashable name is a
+        # ValueError for library callers too, not a TypeError from a dict.
+        for bad in ("thermal", "zipf", ["haar"], None, {}):
+            for env_model, weights_model in ((bad, "uniform"), ("haar", bad)):
+                with pytest.raises(ValueError):
+                    DetectorModel.sample(2, 0, env_model, weights_model)
+                with pytest.raises(ValueError):
+                    run_detector_mode(BALANCED, 2, 0, env_model, weights_model, "transmitting")
+                with pytest.raises(ValueError):
+                    sweep_suppression(BALANCED, [2], 2, 0, env_model, weights_model)
 
     def test_sample_dimension_cap(self):
         with pytest.raises(DimensionCapError):
@@ -210,8 +217,8 @@ class TestDensityMatrices:
         with pytest.raises(DimensionCapError):
             rho_t4_full(BALANCED, big, big)
 
-    @pytest.mark.parametrize("env_model", ["haar", "phases", "identity"])
-    @pytest.mark.parametrize("weights_model", ["uniform", "geometric"])
+    @pytest.mark.parametrize("env_model", ENV_MODELS)
+    @pytest.mark.parametrize("weights_model", WEIGHT_MODELS)
     @pytest.mark.parametrize("mode,d_pairs", [
         ("transmitting", [(1, 1), (2, 3), (5, 2), (8, 8)]),
         ("absorbing", [(1, 1), (3, 2), (8, 8), (11, 11)]),
@@ -273,8 +280,8 @@ class TestDensityMatrices:
 
 
 class TestBlindnessContrast:
-    @pytest.mark.parametrize("env_model", ["haar", "phases", "identity"])
-    @pytest.mark.parametrize("weights_model", ["uniform", "geometric"])
+    @pytest.mark.parametrize("env_model", ENV_MODELS)
+    @pytest.mark.parametrize("weights_model", WEIGHT_MODELS)
     @pytest.mark.parametrize("mode", MODES)
     def test_block_traces_are_bitwise_the_dense_traces(self, env_model, weights_model, mode):
         for k, (d_up, d_dn) in enumerate(FULL_D_PAIRS[mode]):

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import sglab
+from sglab import decoherence
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -100,6 +101,32 @@ def test_every_public_definition_is_reached_or_documented(tmp_path):
 def test_readme_names_every_documented_name():
     readme = README.read_text(encoding="utf-8")
     assert [name for name in DOCUMENTED_API if f"`{name}`" not in readme] == []
+
+
+def test_model_names_live_only_in_their_tables():
+    # A model is one row of ``decoherence._ENV`` or ``_WEIGHTS``: its name is
+    # that row's key, and only the default models are named anywhere else.
+    defaults = {"haar": 3, "uniform": 3}  # ExperimentConfig, DetectorModel.sample, the sweep
+    seen = {name: {"key": 0, "default": 0, "other": []}
+            for name in (*decoherence.ENV_MODELS, *decoherence.WEIGHT_MODELS)}
+    for path in sorted(Path(sglab.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        keys = {id(k) for node in ast.walk(tree) if isinstance(node, ast.Dict) for k in node.keys}
+        defaults_at = {id(node.value) for node in ast.walk(tree)
+                       if isinstance(node, ast.AnnAssign) and node.value is not None}
+        defaults_at |= {id(v) for node in ast.walk(tree) if isinstance(node, ast.arguments)
+                        for v in (*node.defaults, *node.kw_defaults) if v is not None}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in seen:
+                entry = seen[node.value]
+                if id(node) in keys and path.name == "decoherence.py":
+                    entry["key"] += 1
+                elif id(node) in defaults_at:
+                    entry["default"] += 1
+                else:
+                    entry["other"].append(f"{path.name}:{node.lineno}")
+    assert seen == {name: {"key": 1, "default": defaults.get(name, 0), "other": []}
+                    for name in seen}
 
 
 def test_no_module_binds_an_unused_import():

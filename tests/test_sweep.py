@@ -61,8 +61,8 @@ def loop_sweep(prep, d_values, trials, seed, env_model, weights_model):
     return rows, summary
 
 
-@pytest.mark.parametrize("env_model", ["haar", "phases", "identity"])
-@pytest.mark.parametrize("weights_model", ["uniform", "geometric"])
+@pytest.mark.parametrize("env_model", decoherence.ENV_MODELS)
+@pytest.mark.parametrize("weights_model", decoherence.WEIGHT_MODELS)
 @pytest.mark.parametrize("d_values", D_LISTS, ids=str)
 def test_stacked_sweep_matches_per_trial_loop(env_model, weights_model, d_values):
     got = sweep_suppression(GENERIC, d_values, 5, seed=41,
